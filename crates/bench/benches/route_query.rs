@@ -1,6 +1,5 @@
-//! B9: the indexed query path — `route_len` cost of the segment-jump
-//! indexed traversal against the per-hop reference, plus the batched
-//! scratch-reuse path.
+//! B9: the indexed query path — `route_len` cost of the single-lane
+//! segment-jump traversal against the per-hop reference.
 //!
 //! B10: the wide (SIMD-lane) batch engine — `route_len_batch_with` at
 //! several batch widths over the same machine and workload, the data
@@ -72,22 +71,6 @@ fn route_query(c: &mut Criterion) {
             b.iter(|| {
                 for &(s, d) in queries {
                     let _ = black_box(router.route_len(s, d));
-                }
-            });
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::from_parameter("indexed_batch64"),
-        &queries,
-        |b, queries| {
-            // Persistent scratch across chunks, as a serve worker's
-            // handle reuses its scratch across successive batches.
-            let mut scratch = RouteScratch::new();
-            b.iter(|| {
-                for chunk in queries.chunks(64) {
-                    for &(s, d) in chunk {
-                        let _ = black_box(router.route_len_with(s, d, &mut scratch));
-                    }
                 }
             });
         },

@@ -8,14 +8,13 @@
 //!
 //! * **reference** walks every cell of every segment and rebuilds its
 //!   livelock guard and exit scans per query;
-//! * **indexed** jumps whole segments via the per-row/per-column
-//!   interval tables and resolves ring entries through the precomputed
-//!   position maps (`indexed-batch64` additionally amortizes one scratch
-//!   across each chunk);
+//! * **indexed** is the public singleton path (`route_len`): the
+//!   single-lane traversal jumps whole segments with one next-blocked
+//!   load, decodes ring entries from packed hit words, and resolves exits
+//!   through the O(1) exit directory;
 //! * **wide-batchN** is the SIMD-lane batch engine behind the serve
-//!   `route_len_batch` endpoint: whole batches move through
-//!   cache-line-packed next-blocked tables, packed hit words, and the
-//!   O(1) exit directory together (experiment E20 documents the
+//!   `route_len_batch` endpoint: whole batches move through the same
+//!   cache-line-packed tables together (experiment E20 documents the
 //!   layout).
 //!
 //! The one-off cost the index shifts to publication time is reported
@@ -78,7 +77,7 @@ pub struct BuildRow {
     /// Disabled regions (= fault rings) on the machine.
     pub regions: usize,
     /// Median `FaultTolerantRouter::new` wall time, milliseconds
-    /// (segment tables + ring indexes included).
+    /// (segment table + ring indexes included).
     pub build_ms: f64,
 }
 
@@ -97,17 +96,12 @@ const REFERENCE: &str = "reference";
 enum Engine {
     /// The pre-index per-hop traversal (`route_len_reference`).
     Reference,
-    /// Indexed traversal through the public singleton path (`route_len`,
-    /// thread-local scratch).
+    /// The single-lane traversal through the public singleton path
+    /// (`route_len`, thread-local scratch).
     Indexed,
-    /// Indexed traversal with one explicit scratch shared across each
-    /// chunk of this many queries — the scalar loop the serve batch
-    /// endpoint ran before the wide engine existed, kept as the
-    /// amortization baseline.
-    IndexedBatch(usize),
     /// The wide SIMD-lane batch engine (`route_len_batch_with`) at this
     /// batch width — the serve `route_len_batch` endpoint's actual data
-    /// path, byte-identical to the scalar engines.
+    /// path, byte-identical to the single-lane traversal.
     WideBatch(usize),
 }
 
@@ -116,7 +110,6 @@ impl Engine {
         match self {
             Engine::Reference => REFERENCE.into(),
             Engine::Indexed => "indexed".into(),
-            Engine::IndexedBatch(n) => format!("indexed-batch{n}"),
             Engine::WideBatch(n) => format!("wide-batch{n}"),
         }
     }
@@ -124,7 +117,7 @@ impl Engine {
     fn batch(self) -> usize {
         match self {
             Engine::Reference | Engine::Indexed => 1,
-            Engine::IndexedBatch(n) | Engine::WideBatch(n) => n,
+            Engine::WideBatch(n) => n,
         }
     }
 }
@@ -133,7 +126,6 @@ fn engines() -> Vec<Engine> {
     vec![
         Engine::Reference,
         Engine::Indexed,
-        Engine::IndexedBatch(64),
         Engine::WideBatch(16),
         Engine::WideBatch(64),
         Engine::WideBatch(256),
@@ -168,17 +160,6 @@ fn pass_ns(router: &FaultTolerantRouter, pairs: &[(Coord, Coord)], engine: Engin
         Engine::Indexed => {
             for &(s, d) in pairs {
                 let _ = black_box(router.route_len(s, d));
-            }
-        }
-        Engine::IndexedBatch(n) => {
-            // One persistent scratch, `begin()`-reset per chunk inside
-            // `route_len_with` — the scalar amortization baseline the
-            // wide engine is measured against.
-            let mut scratch = RouteScratch::new();
-            for chunk in pairs.chunks(n) {
-                for &(s, d) in chunk {
-                    let _ = black_box(router.route_len_with(s, d, &mut scratch));
-                }
             }
         }
         Engine::WideBatch(n) => {
@@ -333,8 +314,8 @@ mod tests {
     #[test]
     fn quick_sweep_shows_indexed_wins() {
         let report = run(&Settings::quick());
-        // 2 sides x 3 densities x 6 engines.
-        assert_eq!(report.rows.len(), 36);
+        // 2 sides x 3 densities x 5 engines.
+        assert_eq!(report.rows.len(), 30);
         assert_eq!(report.build.len(), 6);
         for r in &report.rows {
             assert!(r.ns_per_query > 0.0);

@@ -122,7 +122,7 @@ pub(crate) fn compute(
 ) -> Result<DisjointRoutes, RoutingError> {
     let t = router.topology();
     let mut primary = Path::new(src);
-    router.traverse_indexed(src, dst, Some(&mut primary.hops), scratch)?;
+    crate::wide::traverse(router, src, dst, Some(&mut primary.hops), &mut scratch.enc)?;
     let k = k.max(1);
     let d = t.distance(src, dst) as usize;
     if k == 1 || src == dst {

@@ -5,27 +5,31 @@
 //! per-query traversal does work proportional to the number of *fault
 //! encounters*, not to path length:
 //!
-//! * [`SegmentIndex`] — per-row and per-column sorted tables of disabled
-//!   coordinates. An unobstructed XY segment is resolved with one binary
-//!   search (torus-seam aware) instead of one enabled-map probe per hop.
+//! * [`RouteIndex`] — every table one router answers from: the segment
+//!   table ([`crate::layout::WideSegments`]: per-row and per-column
+//!   sorted disabled coordinates, whose probe jumps a whole unobstructed
+//!   XY segment at once), the packed exit candidates and exit directory,
+//!   and a `ring << 16 | position` grid for O(1) `position_of`.
 //! * [`RingIndex`] — per-ring `coord → cycle position` table (hash-free
 //!   O(log n) `position_of`) plus an exact exit-candidate index: the only
 //!   cycle positions where the router's exit objective can attain a
 //!   minimum are corners of the ring walk, cells whose region-blocked
 //!   status changes, and cells aligned with (or torus-antipodal to) the
-//!   destination's row/column. `best_exit` evaluates just those
+//!   destination's row/column. The exit scan evaluates just those
 //!   candidates — with precomputed feasibility masks — instead of the
 //!   whole perimeter.
 //! * [`RouteScratch`] — reusable traversal state (livelock guard, exit
-//!   memo) so `route_len` performs no heap allocation after warm-up.
+//!   memo, batch staging) so `route_len` performs no heap allocation
+//!   after warm-up.
 //!
-//! Correctness contract: the indexed traversal in `router.rs` must be
+//! Correctness contract: the traversals in [`crate::wide`] must be
 //! *byte-identical* to the reference per-hop traversal (same paths, same
-//! hop counts, same errors); `crates/routing/tests/equivalence.rs` enforces
-//! this property on random mesh and torus fault maps.
+//! hop counts, same errors); `crates/routing/tests/equivalence.rs`
+//! enforces this property on random mesh and torus fault maps.
 
 use crate::fault_ring::{FaultRing, RingShape};
 use crate::incremental::{BuildBreakdown, Fnv};
+use crate::layout::{ExitDirectory, WideRings, WideSegments};
 use crate::path::EnabledMap;
 use ocp_mesh::{Coord, Direction, Grid, Topology, TopologyKind, DIRECTIONS};
 use std::sync::Arc;
@@ -39,259 +43,6 @@ const NO_RING_POS: u32 = u32::MAX;
 /// (would make the traversal's "disabled non-region cell" invariant fail,
 /// exactly like the reference path's `expect`).
 pub(crate) const NO_REGION: u32 = u32::MAX;
-
-/// Result of a [`SegmentIndex::probe`]: how far XY routing may advance in
-/// one direction before hitting a disabled cell.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Segment {
-    /// Free hops (enabled cells) in the probed direction, `≤ steps`.
-    pub advance: usize,
-    /// The first disabled cell on the span and its fault-region index
-    /// ([`NO_REGION`] when it belongs to none), if one lies within
-    /// `steps`. Carrying the region here spares the traversal a separate
-    /// region-grid lookup per fault encounter.
-    pub blocked: Option<(Coord, u32)>,
-}
-
-/// Sorted per-row / per-column tables of disabled coordinates, stored as
-/// two flat CSR layouts (`off[line]..off[line + 1]` slices one line's
-/// entries) so a probe touches two contiguous arrays instead of chasing a
-/// per-line `Vec` pointer.
-///
-/// Row `y`'s slice holds the ascending x coordinates of disabled cells in
-/// that row (paired with their fault-region index); column `x`'s slice
-/// the ascending y coordinates. A probe is a binary search for the first
-/// disabled cell in the walk window; on a torus the window may wrap the
-/// seam, in which case the search splits in two.
-#[derive(Clone, Debug)]
-pub(crate) struct SegmentIndex {
-    topology: Topology,
-    /// CSR offsets of `rows` (one slice per y line). Exposed to
-    /// [`crate::layout::WideSegments`], which repacks the tables into
-    /// SoA key/region arenas for the wide engine.
-    pub row_off: Vec<u32>,
-    /// `(x, region code)` of disabled cells, ascending per row.
-    pub rows: Vec<(i32, u32)>,
-    /// CSR offsets of `cols` (one slice per x line).
-    pub col_off: Vec<u32>,
-    /// `(y, region code)` of disabled cells, ascending per column.
-    pub cols: Vec<(i32, u32)>,
-}
-
-/// Flattens per-line vectors into a CSR (offsets, data) pair.
-fn flatten_lines(lines: Vec<Vec<(i32, u32)>>) -> (Vec<u32>, Vec<(i32, u32)>) {
-    let mut off = Vec::with_capacity(lines.len() + 1);
-    off.push(0u32);
-    let mut data = Vec::new();
-    for line in lines {
-        data.extend_from_slice(&line);
-        off.push(data.len() as u32);
-    }
-    (off, data)
-}
-
-/// The sorted `(coordinate, region code)` entries of one row (`is_row`)
-/// or column line, produced by an ascending scan — identical to the
-/// collect-then-sort the original cold build ran, since coordinates are
-/// unique per line.
-fn scan_line(
-    enabled: &EnabledMap,
-    region_of: &Grid<Option<usize>>,
-    is_row: bool,
-    li: usize,
-) -> Vec<(i32, u32)> {
-    let t = enabled.topology();
-    let extent = if is_row { t.width() } else { t.height() } as i32;
-    let mut line = Vec::new();
-    for v in 0..extent {
-        let c = if is_row {
-            Coord::new(v, li as i32)
-        } else {
-            Coord::new(li as i32, v)
-        };
-        if !enabled.is_enabled(c) {
-            line.push((v, region_of.get(c).map_or(NO_REGION, |r| r as u32)));
-        }
-    }
-    line
-}
-
-impl SegmentIndex {
-    /// Builds the tables from the enabled view and region membership,
-    /// with the per-line scans spread over `threads` row and column
-    /// bands. Lines are produced independently and concatenated in line
-    /// order, so the output is identical for every thread count.
-    pub fn build_par(
-        enabled: &EnabledMap,
-        region_of: &Grid<Option<usize>>,
-        threads: usize,
-    ) -> Self {
-        let t = enabled.topology();
-        let row_lines = crate::incremental::par_map(t.height() as usize, threads, |y| {
-            scan_line(enabled, region_of, true, y)
-        });
-        let col_lines = crate::incremental::par_map(t.width() as usize, threads, |x| {
-            scan_line(enabled, region_of, false, x)
-        });
-        let (row_off, rows) = flatten_lines(row_lines);
-        let (col_off, cols) = flatten_lines(col_lines);
-        Self {
-            topology: t,
-            row_off,
-            rows,
-            col_off,
-            cols,
-        }
-    }
-
-    /// Incremental rebuild: rescans lines marked touched, copies lines
-    /// marked renumbered with their region codes mapped through
-    /// `code_map` (previous group index → new group index — the cells on
-    /// such lines are unchanged, only the embedded code moved), and
-    /// copies everything else verbatim. Byte-identical to a cold
-    /// [`Self::build_par`] under the line contract [`crate::incremental`]
-    /// derives from the epoch delta.
-    #[allow(clippy::too_many_arguments)]
-    pub fn patch(
-        prev: &Self,
-        enabled: &EnabledMap,
-        region_of: &Grid<Option<usize>>,
-        touched_rows: &[bool],
-        touched_cols: &[bool],
-        renum_rows: &[bool],
-        renum_cols: &[bool],
-        code_map: &[u32],
-    ) -> Self {
-        let t = enabled.topology();
-        let side =
-            |off: &[u32], data: &[(i32, u32)], touched: &[bool], renum: &[bool], is_row: bool| {
-                let mut out_off = Vec::with_capacity(off.len());
-                out_off.push(0u32);
-                let mut out = Vec::with_capacity(data.len());
-                for (li, w) in off.windows(2).enumerate() {
-                    let slice = &data[w[0] as usize..w[1] as usize];
-                    if touched[li] {
-                        out.extend(scan_line(enabled, region_of, is_row, li));
-                    } else if renum[li] {
-                        out.extend(slice.iter().map(|&(v, code)| {
-                            let code = if code == NO_REGION {
-                                NO_REGION
-                            } else {
-                                code_map[code as usize]
-                            };
-                            (v, code)
-                        }));
-                    } else {
-                        out.extend_from_slice(slice);
-                    }
-                    out_off.push(out.len() as u32);
-                }
-                (out_off, out)
-            };
-        let (row_off, rows) = side(&prev.row_off, &prev.rows, touched_rows, renum_rows, true);
-        let (col_off, cols) = side(&prev.col_off, &prev.cols, touched_cols, renum_cols, false);
-        Self {
-            topology: t,
-            row_off,
-            rows,
-            col_off,
-            cols,
-        }
-    }
-
-    /// Feeds every table into the router digest.
-    pub fn digest(&self, h: &mut Fnv) {
-        h.u32s(&self.row_off);
-        h.u32s(&self.col_off);
-        h.u64(self.rows.len() as u64);
-        for &(v, code) in self.rows.iter().chain(self.cols.iter()) {
-            h.u64(((v as u32 as u64) << 32) | u64::from(code));
-        }
-    }
-
-    /// Probes up to `steps` hops from `from` in `dir`. `steps` must be at
-    /// most half the extent on a torus (which XY offsets always are).
-    pub fn probe(&self, from: Coord, dir: Direction, steps: usize) -> Segment {
-        let (line, pos, extent) = match dir {
-            Direction::East | Direction::West => {
-                let (y, w) = (from.y as usize, self.topology.width() as i32);
-                let range = self.row_off[y] as usize..self.row_off[y + 1] as usize;
-                (&self.rows[range], from.x, w)
-            }
-            Direction::North | Direction::South => {
-                let (x, h) = (from.x as usize, self.topology.height() as i32);
-                let range = self.col_off[x] as usize..self.col_off[x + 1] as usize;
-                (&self.cols[range], from.y, h)
-            }
-        };
-        let positive = matches!(dir, Direction::East | Direction::North);
-        let torus = self.topology.kind() == TopologyKind::Torus;
-        match first_blocked(line, pos, steps as i32, extent, positive, torus) {
-            Some((d, region)) => Segment {
-                advance: (d - 1) as usize,
-                blocked: Some((coord_at(self.topology, from, dir, d), region)),
-            },
-            None => Segment {
-                advance: steps,
-                blocked: None,
-            },
-        }
-    }
-}
-
-/// The coordinate `d` hops from `from` in `dir` (wrapping on tori).
-fn coord_at(t: Topology, from: Coord, dir: Direction, d: i32) -> Coord {
-    let (dx, dy) = dir.offset();
-    let raw = Coord::new(from.x + dx * d, from.y + dy * d);
-    match t.kind() {
-        TopologyKind::Mesh => raw,
-        TopologyKind::Torus => t.wrap(raw),
-    }
-}
-
-/// Distance (in hops, `1..=steps`) to the first `line` member reached when
-/// walking from `pos` in the positive or negative direction, with that
-/// member's region code; `None` if the window is clear. `line` is
-/// ascending within `[0, extent)`.
-fn first_blocked(
-    line: &[(i32, u32)],
-    pos: i32,
-    steps: i32,
-    extent: i32,
-    positive: bool,
-    torus: bool,
-) -> Option<(i32, u32)> {
-    if positive {
-        let end = pos + steps;
-        if !torus || end < extent {
-            let i = line.partition_point(|&(v, _)| v <= pos);
-            return (i < line.len() && line[i].0 <= end).then(|| (line[i].0 - pos, line[i].1));
-        }
-        // Wrapped window: (pos, extent) then [0, end - extent].
-        let i = line.partition_point(|&(v, _)| v <= pos);
-        if i < line.len() {
-            return Some((line[i].0 - pos, line[i].1));
-        }
-        line.first()
-            .filter(|&&(v, _)| v <= end - extent)
-            .map(|&(v, r)| (v + extent - pos, r))
-    } else {
-        let end = pos - steps;
-        if !torus || end >= 0 {
-            let i = line.partition_point(|&(v, _)| v < pos);
-            return (i > 0 && line[i - 1].0 >= end).then(|| (pos - line[i - 1].0, line[i - 1].1));
-        }
-        // Wrapped window: [0, pos) then [end + extent, extent).
-        let i = line.partition_point(|&(v, _)| v < pos);
-        if i > 0 {
-            return Some((pos - line[i - 1].0, line[i - 1].1));
-        }
-        match line.last() {
-            Some(&(last, r)) if last >= end + extent => Some((pos + extent - last, r)),
-            _ => None,
-        }
-    }
-}
 
 /// The feasibility-mask bit for direction `d` (see
 /// [`CandidateColumns::masks`]).
@@ -311,9 +62,8 @@ fn coord_key(c: Coord) -> u64 {
 
 /// Structure-of-arrays store of exit candidates: cell coordinates,
 /// precomputed infeasibility masks, and cycle positions in parallel
-/// columns. The layout lets the exit scan in `router.rs` run as one
-/// branch-free loop over flat primitive arrays, which the compiler
-/// auto-vectorizes.
+/// columns. [`WideRings`] packs them into scan words for compact rings;
+/// the u64 exit scan of `wide.rs` reads them directly for the rest.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct CandidateColumns {
     /// Cell x per candidate.
@@ -573,19 +323,17 @@ fn dir_between(t: Topology, a: Coord, b: Coord) -> Option<Direction> {
 /// `FaultTolerantRouter::new`.
 #[derive(Clone, Debug)]
 pub(crate) struct RouteIndex {
-    /// Row/column disabled-interval tables for segment-jump XY.
-    pub segments: SegmentIndex,
+    /// Row/column disabled-coordinate tables for segment-jump XY.
+    pub segments: WideSegments,
     /// One [`RingIndex`] per fault ring, in ring order. `Arc`-held so an
     /// incremental epoch build shares unchanged rings with its
     /// predecessor instead of recomputing them.
     pub rings: Vec<Arc<RingIndex>>,
-    /// Cache-packed SoA repack of `segments` for the wide engine.
-    pub wide_segments: crate::layout::WideSegments,
-    /// Cache-packed per-ring exit-candidate words for the wide engine.
-    pub wide_rings: crate::layout::WideRings,
+    /// Cache-packed per-ring exit-candidate words.
+    pub wide_rings: WideRings,
     /// O(1) best-exit directory for destinations outside each ring's
     /// bounding box (mesh snapshots; tori always scan).
-    pub exit_dir: crate::layout::ExitDirectory,
+    pub exit_dir: ExitDirectory,
     /// `ring << 16 | cycle position` of the first ring each cell appears
     /// on ([`NO_RING_POS`] elsewhere) — one 4-byte grid probe resolves
     /// almost every `position_of`. Cells sitting on a *second* ring as
@@ -630,36 +378,28 @@ impl RouteIndex {
     ) -> Self {
         use std::time::Instant;
         let t = enabled.topology();
-        let pos_start = Instant::now();
-        let ring_pos = build_ring_pos(t, rings);
-        let mut ring_ns = pos_start.elapsed().as_nanos() as u64;
-
-        let seg_start = Instant::now();
-        let segments = SegmentIndex::build_par(enabled, region_of, threads);
-        stats.segment_ns += seg_start.elapsed().as_nanos() as u64;
-
         let ring_start = Instant::now();
+        let ring_pos = build_ring_pos(t, rings);
         let ring_indexes: Vec<Arc<RingIndex>> =
             crate::incremental::par_map(rings.len(), threads, |i| {
                 Arc::new(RingIndex::build(t, &rings[i], region_of))
             });
-        ring_ns += ring_start.elapsed().as_nanos() as u64;
-        stats.ring_ns += ring_ns;
+        stats.ring_ns += ring_start.elapsed().as_nanos() as u64;
+
+        let seg_start = Instant::now();
+        let segments = WideSegments::build(enabled, region_of, rings, &ring_indexes, threads);
+        stats.segment_ns += seg_start.elapsed().as_nanos() as u64;
 
         let wide_start = Instant::now();
-        let wide_segments =
-            crate::layout::WideSegments::build(&segments, rings, &ring_indexes, t, threads);
-        let wide_rings = crate::layout::WideRings::build(&ring_indexes);
+        let wide_rings = WideRings::build(&ring_indexes);
         stats.wide_ns += wide_start.elapsed().as_nanos() as u64;
 
         let exit_start = Instant::now();
-        let exit_dir =
-            crate::layout::ExitDirectory::build(t, rings, &ring_indexes, &wide_rings, threads);
+        let exit_dir = ExitDirectory::build(t, rings, &ring_indexes, &wide_rings, threads);
         stats.exit_ns += exit_start.elapsed().as_nanos() as u64;
         Self {
             segments,
             rings: ring_indexes,
-            wide_segments,
             wide_rings,
             exit_dir,
             ring_pos,
@@ -673,7 +413,6 @@ impl RouteIndex {
         for ring in &self.rings {
             ring.digest(h);
         }
-        self.wide_segments.digest(h);
         self.wide_rings.digest(h);
         self.exit_dir.digest(h);
         for (_, &v) in self.ring_pos.iter() {
@@ -695,7 +434,7 @@ impl RouteIndex {
     }
 }
 
-/// Reusable traversal state for the indexed query path.
+/// Reusable traversal state for the query paths.
 ///
 /// One scratch serves any number of sequential queries against any router;
 /// its buffers are cleared (not freed) between traversals, so a warmed-up
@@ -705,14 +444,10 @@ impl RouteIndex {
 /// `route_len_with`.
 #[derive(Debug, Default)]
 pub struct RouteScratch {
-    /// Livelock guard: (ring index, entry cell) pairs seen this traversal.
-    entries: Vec<(usize, Coord)>,
-    /// Per-traversal memo of `best_exit` results (dst is fixed within one
-    /// traversal, so a ring's best exit never changes across re-encounters).
-    exits: Vec<(usize, Option<u32>)>,
-    /// SoA staging buffers for the wide batch engine
-    /// (`FaultTolerantRouter::route_len_batch`); unused by the scalar
-    /// entry points.
+    /// Livelock guard and exit memo of the single-lane traversal.
+    pub(crate) enc: crate::wide::Encounters,
+    /// SoA staging buffers for the batch engine
+    /// (`FaultTolerantRouter::route_len_batch`).
     pub(crate) wide: crate::wide::WideBuffers,
 }
 
@@ -721,40 +456,13 @@ impl RouteScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Resets per-traversal state, keeping buffer capacity.
-    pub(crate) fn begin(&mut self) {
-        self.entries.clear();
-        self.exits.clear();
-    }
-
-    /// Records a ring entry; `false` if this (ring, entry) was already
-    /// seen this traversal (the livelock condition).
-    pub(crate) fn note_entry(&mut self, ring: usize, entry: Coord) -> bool {
-        if self.entries.iter().any(|&(r, c)| r == ring && c == entry) {
-            return false;
-        }
-        self.entries.push((ring, entry));
-        true
-    }
-
-    /// The memoized exit for `ring`, if computed this traversal.
-    pub(crate) fn lookup_exit(&self, ring: usize) -> Option<Option<u32>> {
-        self.exits
-            .iter()
-            .find(|&&(r, _)| r == ring)
-            .map(|&(_, e)| e)
-    }
-
-    /// Memoizes the exit for `ring`.
-    pub(crate) fn store_exit(&mut self, ring: usize, exit: Option<u32>) {
-        self.exits.push((ring, exit));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault_ring::{FaultRing, RingShape};
+    use crate::wide::{advance_by, probe_next, probe_search, Encounters, DIRS};
     use ocp_mesh::Grid;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -774,39 +482,65 @@ mod tests {
         })
     }
 
-    /// Naive per-hop reference for `probe`.
+    /// The segment table over `fake_regions`-style codes `0..5`, each
+    /// backed by an (empty) chain ring.
+    fn segments(enabled: &EnabledMap, region_of: &Grid<Option<usize>>) -> WideSegments {
+        let rings: Vec<FaultRing> = (0..5)
+            .map(|i| FaultRing {
+                region_index: i,
+                shape: RingShape::Chain(Vec::new()),
+            })
+            .collect();
+        let indexes: Vec<Arc<RingIndex>> = (0..5).map(|_| Arc::default()).collect();
+        WideSegments::build(enabled, region_of, &rings, &indexes, 1)
+    }
+
+    /// Free hops and the first disabled cell (with its region code) of
+    /// one probe, as a naive per-hop scan reports them.
+    type Probe = (usize, Option<(Coord, u32)>);
+
+    /// Naive per-hop reference for the segment probe.
     fn naive_probe(
         enabled: &EnabledMap,
         region_of: &Grid<Option<usize>>,
         from: Coord,
         dir: Direction,
         steps: usize,
-    ) -> Segment {
+    ) -> Probe {
         let t = enabled.topology();
         let mut cur = from;
         for k in 0..steps {
-            let next = match t.neighbor(cur, dir).coord() {
-                Some(n) => n,
-                None => {
-                    return Segment {
-                        advance: k,
-                        blocked: None,
-                    }
-                }
+            let Some(next) = t.neighbor(cur, dir).coord() else {
+                return (k, None);
             };
             if !enabled.is_enabled(next) {
                 let code = region_of.get(next).map_or(NO_REGION, |r| r as u32);
-                return Segment {
-                    advance: k,
-                    blocked: Some((next, code)),
-                };
+                return (k, Some((next, code)));
             }
             cur = next;
         }
-        Segment {
-            advance: steps,
-            blocked: None,
-        }
+        (steps, None)
+    }
+
+    /// Both probe kernels over `segments`, in [`Probe`] form.
+    fn wide_probes(
+        segments: &WideSegments,
+        t: Topology,
+        from: Coord,
+        d: usize,
+        steps: usize,
+    ) -> [Probe; 2] {
+        let decode = |hit: Option<(i32, u64)>| match hit {
+            None => (steps, None),
+            Some((dist, word)) => (
+                dist as usize - 1,
+                Some((advance_by(t, from, DIRS[d], dist as usize), word as u32)),
+            ),
+        };
+        [
+            decode(probe_next(segments, t, from, d, steps as i32)),
+            decode(probe_search(segments, t, from, d, steps as i32)),
+        ]
     }
 
     #[test]
@@ -815,9 +549,10 @@ mod tests {
             for seed in 0..4u64 {
                 let enabled = random_map(t, 0.25, seed);
                 let region_of = fake_regions(&enabled);
-                let index = SegmentIndex::build_par(&enabled, &region_of, 1);
+                let index = segments(&enabled, &region_of);
+                assert!(index.have_next());
                 for from in t.coords() {
-                    for dir in DIRECTIONS {
+                    for (d, dir) in DIRS.into_iter().enumerate() {
                         let max = match dir {
                             Direction::East | Direction::West => t.width(),
                             Direction::North | Direction::South => t.height(),
@@ -835,11 +570,10 @@ mod tests {
                                     continue;
                                 }
                             }
-                            assert_eq!(
-                                index.probe(from, dir, steps),
-                                naive_probe(&enabled, &region_of, from, dir, steps),
-                                "{t:?} {from} {dir:?} x{steps} seed {seed}"
-                            );
+                            let want = naive_probe(&enabled, &region_of, from, dir, steps);
+                            for got in wide_probes(&index, t, from, d, steps) {
+                                assert_eq!(got, want, "{t:?} {from} {dir:?} x{steps} seed {seed}");
+                            }
                         }
                     }
                 }
@@ -855,29 +589,34 @@ mod tests {
         let enabled = EnabledMap::from_grid(grid);
         let mut region_of = Grid::filled(t, None);
         region_of.set(Coord::new(1, 0), Some(3));
-        let index = SegmentIndex::build_par(&enabled, &region_of, 1);
+        let index = segments(&enabled, &region_of);
         // Eastward from x=6: wraps the seam and hits x=1 after 3 hops.
-        let seg = index.probe(Coord::new(6, 0), Direction::East, 4);
-        assert_eq!(seg.advance, 2);
-        assert_eq!(seg.blocked, Some((Coord::new(1, 0), 3)));
+        for got in wide_probes(&index, t, Coord::new(6, 0), 0, 4) {
+            assert_eq!(got, (2, Some((Coord::new(1, 0), 3))));
+        }
         // Westward from x=3 with a clear window.
-        let seg = index.probe(Coord::new(3, 1), Direction::West, 4);
-        assert_eq!(seg.advance, 4);
-        assert_eq!(seg.blocked, None);
+        for got in wide_probes(&index, t, Coord::new(3, 1), 1, 4) {
+            assert_eq!(got, (4, None));
+        }
     }
 
     #[test]
     fn scratch_guard_and_memo_semantics() {
         let mut s = RouteScratch::new();
-        s.begin();
-        assert!(s.note_entry(0, Coord::new(1, 1)));
-        assert!(s.note_entry(1, Coord::new(1, 1)));
-        assert!(!s.note_entry(0, Coord::new(1, 1)));
-        assert_eq!(s.lookup_exit(0), None);
-        s.store_exit(0, Some(7));
-        assert_eq!(s.lookup_exit(0), Some(Some(7)));
-        s.begin();
-        assert!(s.note_entry(0, Coord::new(1, 1)), "begin clears the guard");
-        assert_eq!(s.lookup_exit(0), None, "begin clears the memo");
+        let enc: &mut Encounters = &mut s.enc;
+        let exit = (7, Coord::new(2, 3), 12);
+        enc.clear();
+        assert!(enc.note_entry(0, Coord::new(1, 1)));
+        assert!(enc.note_entry(1, Coord::new(1, 1)));
+        assert!(!enc.note_entry(0, Coord::new(1, 1)));
+        assert_eq!(enc.lookup_exit(0), None);
+        enc.store_exit(0, Some(exit));
+        assert_eq!(enc.lookup_exit(0), Some(Some(exit)));
+        enc.clear();
+        assert!(
+            enc.note_entry(0, Coord::new(1, 1)),
+            "clear resets the guard"
+        );
+        assert_eq!(enc.lookup_exit(0), None, "clear resets the memo");
     }
 }

@@ -1,17 +1,17 @@
-//! Cache-packed table layout for the wide (multi-query) engine.
+//! Cache-packed per-snapshot tables behind the router's query engine.
 //!
-//! The lane kernels in [`crate::wide`] stream per-snapshot tables
-//! repacked here from the scalar index into flat 64-byte-aligned arenas,
-//! so a batch touches the minimum number of cache lines and resolves the
-//! traversal's dependent lookups with precomputed single loads:
+//! The traversals in [`crate::wide`] — single-lane and batched — stream
+//! these flat 64-byte-aligned arenas, so a query touches the minimum
+//! number of cache lines and resolves the traversal's dependent lookups
+//! with precomputed single loads:
 //!
-//! * [`WideSegments`] — the segment probe's sorted disabled keys as
-//!   structure-of-arrays columns (keys in one arena, packed *hit words* —
-//!   region code plus both possible ring-entry positions — in a parallel
-//!   one), every line starting on a cache-line boundary, plus per-cell
-//!   next-blocked tables that answer almost every probe — window clear,
-//!   or the encounter distance and its hit word's location — with a
-//!   single `u64` load.
+//! * [`WideSegments`] — the segment table: per-row and per-column sorted
+//!   disabled coordinates as structure-of-arrays columns (keys in one
+//!   arena, packed *hit words* — region code plus both possible
+//!   ring-entry positions — in a parallel one), every line starting on a
+//!   cache-line boundary, plus per-cell next-blocked tables that answer
+//!   almost every probe — window clear, or the encounter distance and its
+//!   hit word's location — with a single `u64` load.
 //! * [`WideRings`] — each ring's exit candidates packed one-per-`u64`
 //!   (`x | y << 15 | mask << 30 | pos << 34`), all rings in a single
 //!   arena with each candidate block cache-line aligned. A batch's exit
@@ -24,17 +24,18 @@
 //! Only *compact* rings (cycle positions ≤ 16 bits, extents summing under
 //! 2^15 — see [`RingIndex::compact`]) are packed; the packed word needs 15
 //! bits per coordinate and 16 per position. Non-compact rings keep
-//! `packed == false` in their [`WideRingMeta`] and the scheduler falls back
-//! to the scalar candidate columns with u64-lane reductions.
+//! `packed == false` in their [`WideRingMeta`] and the exit scan falls
+//! back to the ring's [`CandidateColumns`] with u64-lane reductions.
 //!
-//! Nothing here affects routing results: the packed tables hold exactly
-//! the scalar index's values in the scalar index's order, and the scalar
-//! tables stay untouched as the equivalence oracle.
+//! Nothing here affects routing results: every table is built from the
+//! same predicates the reference traversal evaluates per hop, and
+//! `tests/equivalence.rs` pins the engine byte-identical to it.
 
 use crate::fault_ring::{FaultRing, RingShape};
 use crate::incremental::Fnv;
-use crate::index::{CandidateColumns, RingIndex, SegmentIndex, NO_REGION};
-use ocp_mesh::{Coord, Direction, Topology, TopologyKind};
+use crate::index::{CandidateColumns, RingIndex, NO_REGION};
+use crate::path::EnabledMap;
+use ocp_mesh::{Coord, Direction, Grid, Topology, TopologyKind};
 use std::sync::Arc;
 
 /// The cache-line size every arena base and table block aligns to.
@@ -54,24 +55,35 @@ pub(crate) struct AlignedArena<T> {
 }
 
 impl<T: Copy + Default> AlignedArena<T> {
-    /// Packs `data` into a freshly aligned arena.
-    pub fn from_slice(data: &[T]) -> Self {
+    /// An aligned arena of `len` copies of `value`, written in place.
+    pub fn filled(len: usize, value: T) -> Self {
         let elem = std::mem::size_of::<T>().max(1);
         let pad = CACHE_LINE / elem.min(CACHE_LINE);
-        let mut buf: Vec<T> = Vec::with_capacity(data.len() + pad);
+        let mut buf: Vec<T> = Vec::with_capacity(len + pad);
         let addr = buf.as_ptr() as usize;
         let base = ((CACHE_LINE - addr % CACHE_LINE) % CACHE_LINE) / elem;
-        // Both grows stay within the reserved capacity, so the base
+        // The grow stays within the reserved capacity, so the base
         // computed from `as_ptr` above remains valid.
-        buf.resize(base, T::default());
-        buf.extend_from_slice(data);
+        buf.resize(base + len, value);
         Self { buf, base }
+    }
+
+    /// Packs `data` into a freshly aligned arena.
+    pub fn from_slice(data: &[T]) -> Self {
+        let mut arena = Self::filled(data.len(), T::default());
+        arena.as_mut_slice().copy_from_slice(data);
+        arena
     }
 
     /// The aligned payload.
     #[inline(always)]
     pub fn as_slice(&self) -> &[T] {
         &self.buf[self.base..]
+    }
+
+    /// The aligned payload, mutably.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        &mut self.buf[self.base..]
     }
 }
 
@@ -99,11 +111,14 @@ pub(crate) const ENTRY_UNPACKED: u32 = 0xFFFF;
 /// loading the ring.
 pub(crate) const ENTRY_CHAIN: u32 = 0xFFFE;
 
-/// Structure-of-arrays repack of the [`SegmentIndex`] disabled-interval
-/// tables: one arena of sorted keys (row lines then column lines, each
-/// line cache-line aligned) and a parallel arena of *hit words* at the
-/// same offsets. The probe kernels search `keys` only and touch `hits`
-/// once per *blocked* probe.
+/// The router's segment table: the sorted disabled coordinates of every
+/// row and column line in one arena of keys (row lines then column lines,
+/// each line cache-line aligned — row `y` holds the ascending x of its
+/// disabled cells, column `x` the ascending y) and a parallel arena of
+/// *hit words* at the same offsets. An unobstructed XY segment resolves
+/// with one probe instead of one enabled-map check per hop: a
+/// next-blocked load, or the partition point of the walked line's keys.
+/// Probes touch `hits` once per *blocked* probe.
 ///
 /// A hit word packs everything a fault encounter needs, so resolving one
 /// costs a single load instead of three dependent ones (region grid →
@@ -119,7 +134,8 @@ pub(crate) const ENTRY_CHAIN: u32 = 0xFFFE;
 /// The position fields use [`ENTRY_CHAIN`] for chain rings and
 /// [`ENTRY_UNPACKED`] where no position can be packed; both are produced
 /// at build time from the very predicates (`FaultRing::is_cycle`,
-/// `RingIndex::position`) the scalar traversal evaluates per query.
+/// `RingIndex::position`) a traversal would otherwise evaluate per
+/// encounter.
 #[derive(Clone, Debug)]
 pub(crate) struct WideSegments {
     /// `(start, len)` of each row's keys in the arenas, indexed by y.
@@ -143,7 +159,7 @@ pub(crate) struct WideSegments {
     /// Whether the next-blocked tables exist (extents below 2^16 so
     /// distances pack, and at most [`NEXT_CELL_CAP`] cells so the four
     /// per-cell blocks stay a bounded fraction of snapshot memory;
-    /// absent tables fall back to the search kernels).
+    /// absent tables fall back to `wide::probe_search`).
     have_next: bool,
 }
 
@@ -187,40 +203,95 @@ fn entry_pos(
     }
 }
 
-/// Appends one line's keys and hit words (no padding — the caller pads
-/// both arenas to the cache line together).
-#[allow(clippy::too_many_arguments)]
-fn pack_line(
-    keys: &mut Vec<i32>,
-    hits: &mut Vec<u64>,
-    slice: &[(i32, u32)],
-    is_row: bool,
-    li: usize,
-    extent: i32,
-    torus: bool,
+/// The `(key, hit word)` entries of one row (`is_row`) or column line:
+/// an ascending scan for disabled cells, each paired with its region code
+/// and both possible ring-entry positions (see [`WideSegments`]).
+fn scan_line(
+    enabled: &EnabledMap,
+    region_of: &Grid<Option<usize>>,
     fault_rings: &[FaultRing],
     ring_indexes: &[Arc<RingIndex>],
-) {
-    for &(k, code) in slice {
-        // The cell one step before the key from either probe direction,
-        // on this line.
-        let cell = |v: i32| -> Option<Coord> {
-            let v = if torus { v.rem_euclid(extent) } else { v };
-            (0..extent).contains(&v).then(|| {
-                if is_row {
-                    Coord::new(v, li as i32)
-                } else {
-                    Coord::new(li as i32, v)
-                }
-            })
-        };
+    is_row: bool,
+    li: usize,
+) -> Vec<(i32, u64)> {
+    let t = enabled.topology();
+    let torus = t.kind() == TopologyKind::Torus;
+    let extent = if is_row { t.width() } else { t.height() } as i32;
+    // The cell at `v` on this line (torus-wrapped; `None` off a mesh edge).
+    let cell = |v: i32| -> Option<Coord> {
+        let v = if torus { v.rem_euclid(extent) } else { v };
+        (0..extent).contains(&v).then(|| {
+            if is_row {
+                Coord::new(v, li as i32)
+            } else {
+                Coord::new(li as i32, v)
+            }
+        })
+    };
+    (0..extent)
+        .filter_map(|v| {
+            let c = cell(v).expect("in-line coordinate");
+            if enabled.is_enabled(c) {
+                return None;
+            }
+            let code = region_of.get(c).map_or(NO_REGION, |r| r as u32);
+            // The cells one step before the key from either probe side.
+            let entry = |e: i32| entry_pos(fault_rings, ring_indexes, code, cell(e));
+            Some((
+                v,
+                u64::from(code) | (entry(v - 1) << 32) | (entry(v + 1) << 48),
+            ))
+        })
+        .collect()
+}
+
+/// Appends one line's entries to the arenas, padded so the next line
+/// starts on a cache-line boundary; returns the line's `(start, len)`.
+fn push_line(
+    keys: &mut Vec<i32>,
+    hits: &mut Vec<u64>,
+    entries: impl IntoIterator<Item = (i32, u64)>,
+) -> (u32, u32) {
+    let start = keys.len();
+    for (k, hit) in entries {
         keys.push(k);
-        hits.push(
-            u64::from(code)
-                | (entry_pos(fault_rings, ring_indexes, code, cell(k - 1)) << 32)
-                | (entry_pos(fault_rings, ring_indexes, code, cell(k + 1)) << 48),
-        );
+        hits.push(hit);
     }
+    let len = keys.len() - start;
+    // Keys the padding exposes are never searched; i32::MAX keeps an
+    // out-of-window load harmless either way. The hit arena pads to the
+    // same element count so the two share line offsets (its lines land
+    // 128-byte aligned).
+    keys.resize(pad_to_line::<i32>(keys.len()), i32::MAX);
+    hits.resize(keys.len(), 0);
+    (start as u32, len as u32)
+}
+
+/// Allocates the four per-direction next-blocked blocks of `t` (none when
+/// the tables are skipped — see [`WideSegments::have_next`]), fills the
+/// east/west blocks with `rows` and the north/south ones with `cols` in
+/// place, and returns `(arena, next_base, have_next)`.
+fn fill_next(
+    t: Topology,
+    rows: impl FnOnce(&mut [u64], &mut [u64]),
+    cols: impl FnOnce(&mut [u64], &mut [u64]),
+) -> (AlignedArena<u64>, [u32; 4], bool) {
+    let (width, height) = (t.width(), t.height());
+    let have_next = width < u32::from(u16::MAX)
+        && height < u32::from(u16::MAX)
+        && u64::from(width) * u64::from(height) <= NEXT_CELL_CAP;
+    if !have_next {
+        return (AlignedArena::filled(0, 0), [0; 4], false);
+    }
+    let block = width as usize * height as usize;
+    let mut next = AlignedArena::filled(4 * block, 0);
+    let (ew, ns) = next.as_mut_slice().split_at_mut(2 * block);
+    let (east, west) = ew.split_at_mut(block);
+    let (north, south) = ns.split_at_mut(block);
+    rows(east, west);
+    cols(north, south);
+    let b = block as u32;
+    (next, [0, b, 2 * b, 3 * b], true)
 }
 
 /// Two-pointer next-blocked sweep of one line: fills the positive- and
@@ -315,261 +386,177 @@ fn sweep_block(
 }
 
 impl WideSegments {
-    /// Repacks the scalar segment tables, resolving each disabled key's
-    /// two possible ring-entry positions at build time (see the hit-word
-    /// layout on [`WideSegments`]). The next-blocked sweeps are banded
-    /// over `threads` scoped workers; output is identical for every
-    /// thread count.
+    /// Builds the tables from the enabled view and region membership,
+    /// resolving each disabled key's two possible ring-entry positions
+    /// against the ring indexes (see the hit-word layout on
+    /// [`WideSegments`]). The per-line scans and the next-blocked sweeps
+    /// are banded over `threads` scoped workers; lines concatenate in line
+    /// order, so the output is identical for every thread count.
     pub fn build(
-        index: &SegmentIndex,
+        enabled: &EnabledMap,
+        region_of: &Grid<Option<usize>>,
         fault_rings: &[FaultRing],
         ring_indexes: &[Arc<RingIndex>],
-        t: Topology,
         threads: usize,
     ) -> Self {
+        let t = enabled.topology();
         let torus = t.kind() == TopologyKind::Torus;
-        let mut keys: Vec<i32> = Vec::new();
-        let mut hits: Vec<u64> = Vec::new();
-        let mut pack = |off: &[u32], data: &[(i32, u32)], is_row: bool, extent: i32| {
-            let mut lines = Vec::with_capacity(off.len() - 1);
-            for (li, w) in off.windows(2).enumerate() {
-                let slice = &data[w[0] as usize..w[1] as usize];
-                lines.push((keys.len() as u32, slice.len() as u32));
-                pack_line(
-                    &mut keys,
-                    &mut hits,
-                    slice,
-                    is_row,
-                    li,
-                    extent,
-                    torus,
-                    fault_rings,
-                    ring_indexes,
-                );
-                // Keys the padding exposes are never searched; i32::MAX
-                // keeps an out-of-window load harmless either way. The
-                // hit arena pads to the same element count so the two
-                // share line offsets (its lines land 128-byte aligned).
-                keys.resize(pad_to_line::<i32>(keys.len()), i32::MAX);
-                hits.resize(keys.len(), 0);
-            }
-            lines
+        let scan = |is_row: bool, lines: u32| {
+            crate::incremental::par_map(lines as usize, threads, |li| {
+                scan_line(enabled, region_of, fault_rings, ring_indexes, is_row, li)
+            })
         };
-        let rows = pack(&index.row_off, &index.rows, true, t.width() as i32);
-        let cols = pack(&index.col_off, &index.cols, false, t.height() as i32);
-        let width = (index.col_off.len() - 1) as u32;
-        let height = (index.row_off.len() - 1) as u32;
-        let have_next = width < u32::from(u16::MAX)
-            && height < u32::from(u16::MAX)
-            && u64::from(width) * u64::from(height) <= NEXT_CELL_CAP;
-        let mut next = Vec::new();
-        let mut next_base = [0u32; 4];
-        if have_next {
-            let block = width as usize * height as usize;
-            next = vec![0u64; 4 * block];
-            next_base = [0, block as u32, 2 * block as u32, 3 * block as u32];
-            let (ew, ns) = next.split_at_mut(2 * block);
-            let (east, west) = ew.split_at_mut(block);
-            let (north, south) = ns.split_at_mut(block);
-            sweep_block(&keys, &rows, t.width() as i32, torus, threads, east, west);
-            sweep_block(
-                &keys,
-                &cols,
-                t.height() as i32,
-                torus,
-                threads,
-                north,
-                south,
-            );
-        }
+        let (row_lines, col_lines) = (scan(true, t.height()), scan(false, t.width()));
+        let (mut keys, mut hits) = (Vec::new(), Vec::new());
+        let mut pack = |lines: Vec<Vec<(i32, u64)>>| -> Vec<(u32, u32)> {
+            lines
+                .into_iter()
+                .map(|line| push_line(&mut keys, &mut hits, line))
+                .collect()
+        };
+        let (rows, cols) = (pack(row_lines), pack(col_lines));
+        let (w, h) = (t.width() as i32, t.height() as i32);
+        let (next, next_base, have_next) = fill_next(
+            t,
+            |east, west| sweep_block(&keys, &rows, w, torus, threads, east, west),
+            |north, south| sweep_block(&keys, &cols, h, torus, threads, north, south),
+        );
         Self {
             rows,
             cols,
-            next: AlignedArena::from_slice(&next),
-            next_base,
             keys: AlignedArena::from_slice(&keys),
             hits: AlignedArena::from_slice(&hits),
+            next,
+            next_base,
             have_next,
         }
     }
 
-    /// Incremental rebuild: untouched lines copy their key/hit slabs and
-    /// rebase their next-blocked entries by the line's new arena start
-    /// (the entries' distance fields are start-independent; [`NEXT_NONE`]
-    /// carries no index and is copied as-is); renumbered lines do the
-    /// same but remap each hit word's low-32-bit region code through
+    /// Incremental rebuild: touched lines re-run the cold build's line
+    /// scan and sweep; untouched lines copy their key/hit slabs and rebase
+    /// their next-blocked entries by the line's new arena start (the
+    /// entries' distance fields are start-independent; [`NEXT_NONE`]
+    /// carries no index and is copied as-is); renumbered lines do the same
+    /// but remap each hit word's low-32-bit region code through
     /// `code_map` (keys, entry positions, and next entries depend only on
-    /// cell geometry and ring content, which a renumbered group keeps);
-    /// touched lines re-run the same per-line pack and sweep the cold
-    /// build uses. Byte-identical to [`Self::build`] under the
-    /// [`crate::incremental`] line contract.
+    /// cell geometry and ring content, which a renumbered group keeps).
+    /// Byte-identical to [`Self::build`] under the [`crate::incremental`]
+    /// line contract.
     #[allow(clippy::too_many_arguments)]
     pub fn patch(
         prev: &Self,
-        index: &SegmentIndex,
+        enabled: &EnabledMap,
+        region_of: &Grid<Option<usize>>,
         fault_rings: &[FaultRing],
         ring_indexes: &[Arc<RingIndex>],
-        t: Topology,
         touched_rows: &[bool],
         touched_cols: &[bool],
         renum_rows: &[bool],
         renum_cols: &[bool],
         code_map: &[u32],
     ) -> Self {
+        let t = enabled.topology();
         let torus = t.kind() == TopologyKind::Torus;
         let (pkeys, phits) = (prev.keys.as_slice(), prev.hits.as_slice());
         let mut keys: Vec<i32> = Vec::with_capacity(pkeys.len());
         let mut hits: Vec<u64> = Vec::with_capacity(phits.len());
-        let mut pack = |off: &[u32],
-                        data: &[(i32, u32)],
-                        prev_lines: &[(u32, u32)],
-                        touched: &[bool],
-                        renum: &[bool],
-                        is_row: bool,
-                        extent: i32| {
-            let mut lines = Vec::with_capacity(off.len() - 1);
-            for (li, w) in off.windows(2).enumerate() {
-                let start = keys.len() as u32;
+        let mut pack = |prev_lines: &[(u32, u32)], touched: &[bool], renum: &[bool], is_row| {
+            let mut lines = Vec::with_capacity(prev_lines.len());
+            for (li, &(ps, pl)) in prev_lines.iter().enumerate() {
                 if touched[li] {
-                    let slice = &data[w[0] as usize..w[1] as usize];
-                    lines.push((start, slice.len() as u32));
-                    pack_line(
-                        &mut keys,
-                        &mut hits,
-                        slice,
-                        is_row,
-                        li,
-                        extent,
-                        torus,
-                        fault_rings,
-                        ring_indexes,
-                    );
-                } else {
-                    let (ps, pl) = prev_lines[li];
-                    lines.push((start, pl));
-                    keys.extend_from_slice(&pkeys[ps as usize..(ps + pl) as usize]);
-                    let slab = &phits[ps as usize..(ps + pl) as usize];
-                    if renum[li] {
-                        hits.extend(slab.iter().map(|&hit| {
-                            let code = hit as u32;
-                            if code == NO_REGION {
-                                hit
-                            } else {
-                                (hit & 0xFFFF_FFFF_0000_0000) | u64::from(code_map[code as usize])
-                            }
-                        }));
-                    } else {
-                        hits.extend_from_slice(slab);
-                    }
+                    let line = scan_line(enabled, region_of, fault_rings, ring_indexes, is_row, li);
+                    lines.push(push_line(&mut keys, &mut hits, line));
+                    continue;
                 }
-                keys.resize(pad_to_line::<i32>(keys.len()), i32::MAX);
-                hits.resize(keys.len(), 0);
+                let slab = ps as usize..(ps + pl) as usize;
+                let remap = |hit: u64| {
+                    let code = hit as u32;
+                    if !renum[li] || code == NO_REGION {
+                        hit
+                    } else {
+                        (hit & 0xFFFF_FFFF_0000_0000) | u64::from(code_map[code as usize])
+                    }
+                };
+                let copied = pkeys[slab.clone()].iter().zip(&phits[slab]);
+                lines.push(push_line(
+                    &mut keys,
+                    &mut hits,
+                    copied.map(|(&k, &hit)| (k, remap(hit))),
+                ));
             }
             lines
         };
-        let rows = pack(
-            &index.row_off,
-            &index.rows,
-            &prev.rows,
-            touched_rows,
-            renum_rows,
-            true,
-            t.width() as i32,
-        );
-        let cols = pack(
-            &index.col_off,
-            &index.cols,
-            &prev.cols,
-            touched_cols,
-            renum_cols,
-            false,
-            t.height() as i32,
-        );
-        let width = (index.col_off.len() - 1) as u32;
-        let height = (index.row_off.len() - 1) as u32;
-        let have_next = width < u32::from(u16::MAX)
-            && height < u32::from(u16::MAX)
-            && u64::from(width) * u64::from(height) <= NEXT_CELL_CAP;
-        let mut next = Vec::new();
-        let mut next_base = [0u32; 4];
-        if have_next {
-            let block = width as usize * height as usize;
-            next = vec![0u64; 4 * block];
-            next_base = [0, block as u32, 2 * block as u32, 3 * block as u32];
-            let (ew, ns) = next.split_at_mut(2 * block);
-            let (east, west) = ew.split_at_mut(block);
-            let (north, south) = ns.split_at_mut(block);
-            let patch_block = |lines: &[(u32, u32)],
-                               prev_lines: &[(u32, u32)],
-                               touched: &[bool],
-                               prev_fwd_base: usize,
-                               prev_bwd_base: usize,
-                               extent: i32,
-                               fwd: &mut [u64],
-                               bwd: &mut [u64]| {
-                let e = extent as usize;
-                let prev_next = prev.next.as_slice();
-                for (li, &(start, len)) in lines.iter().enumerate() {
-                    let o = li * e;
-                    if touched[li] || !prev.have_next {
-                        let line = &keys[start as usize..(start + len) as usize];
-                        sweep_line(
-                            line,
-                            start,
-                            extent,
-                            torus,
-                            &mut fwd[o..o + e],
-                            &mut bwd[o..o + e],
-                        );
+        let rows = pack(&prev.rows, touched_rows, renum_rows, true);
+        let cols = pack(&prev.cols, touched_cols, renum_cols, false);
+        let prev_next = prev.next.as_slice();
+        let patch_block = |lines: &[(u32, u32)],
+                           prev_lines: &[(u32, u32)],
+                           touched: &[bool],
+                           prev_base: [u32; 2],
+                           extent: i32,
+                           fwd: &mut [u64],
+                           bwd: &mut [u64]| {
+            let e = extent as usize;
+            for (li, &(start, len)) in lines.iter().enumerate() {
+                let o = li * e;
+                if touched[li] || !prev.have_next {
+                    let line = &keys[start as usize..(start + len) as usize];
+                    let (f, b) = (&mut fwd[o..o + e], &mut bwd[o..o + e]);
+                    sweep_line(line, start, extent, torus, f, b);
+                    continue;
+                }
+                // The previous entries with the hit-word index shifted to
+                // the line's new start.
+                let shift = (i64::from(start) - i64::from(prev_lines[li].0)) << 16;
+                let rebase = |v: u64| {
+                    if v == NEXT_NONE {
+                        v
                     } else {
-                        // The previous entries with the hit-word index
-                        // shifted to the line's new start.
-                        let shift = (i64::from(start) - i64::from(prev_lines[li].0)) << 16;
-                        for v in 0..e {
-                            let f = prev_next[prev_fwd_base + o + v];
-                            fwd[o + v] = if f == NEXT_NONE {
-                                f
-                            } else {
-                                (f as i64 + shift) as u64
-                            };
-                            let b = prev_next[prev_bwd_base + o + v];
-                            bwd[o + v] = if b == NEXT_NONE {
-                                b
-                            } else {
-                                (b as i64 + shift) as u64
-                            };
-                        }
+                        (v as i64 + shift) as u64
+                    }
+                };
+                for (out, base) in [(&mut *fwd, prev_base[0]), (&mut *bwd, prev_base[1])] {
+                    let src = &prev_next[base as usize + o..base as usize + o + e];
+                    for (d, &v) in out[o..o + e].iter_mut().zip(src) {
+                        *d = rebase(v);
                     }
                 }
-            };
-            patch_block(
-                &rows,
-                &prev.rows,
-                touched_rows,
-                prev.next_base[0] as usize,
-                prev.next_base[1] as usize,
-                t.width() as i32,
-                east,
-                west,
-            );
-            patch_block(
-                &cols,
-                &prev.cols,
-                touched_cols,
-                prev.next_base[2] as usize,
-                prev.next_base[3] as usize,
-                t.height() as i32,
-                north,
-                south,
-            );
-        }
+            }
+        };
+        let pb = prev.next_base;
+        let (w, h) = (t.width() as i32, t.height() as i32);
+        let (next, next_base, have_next) = fill_next(
+            t,
+            |east, west| {
+                patch_block(
+                    &rows,
+                    &prev.rows,
+                    touched_rows,
+                    [pb[0], pb[1]],
+                    w,
+                    east,
+                    west,
+                )
+            },
+            |north, south| {
+                patch_block(
+                    &cols,
+                    &prev.cols,
+                    touched_cols,
+                    [pb[2], pb[3]],
+                    h,
+                    north,
+                    south,
+                )
+            },
+        );
         Self {
             rows,
             cols,
-            next: AlignedArena::from_slice(&next),
-            next_base,
             keys: AlignedArena::from_slice(&keys),
             hits: AlignedArena::from_slice(&hits),
+            next,
+            next_base,
             have_next,
         }
     }
@@ -659,13 +646,13 @@ pub(crate) struct WideRingMeta {
     /// Base of the per-row CSR block (add the ring's `row_off`).
     pub rows_start: u32,
     /// Whether packed words exist for this ring (cycle + compact). When
-    /// false the scheduler scans the scalar candidate columns instead.
+    /// false the exit scan reads the ring's candidate columns instead.
     pub packed: bool,
 }
 
 /// All rings' packed exit-candidate words in one aligned arena, plus the
 /// per-ring directory. Candidate order inside every block is exactly the
-/// scalar [`CandidateColumns`] order, so a packed scan visits the same
+/// ring's [`CandidateColumns`] order, so a packed scan visits the same
 /// candidates with the same tie-break positions.
 #[derive(Clone, Debug)]
 pub(crate) struct WideRings {
@@ -730,7 +717,7 @@ impl WideRings {
 
     /// Calls `f` on every packed word range holding a candidate the exit
     /// objective for `dst` can minimize at — the same slices, in the same
-    /// order, as the scalar [`RingIndex::candidate_slices`].
+    /// order, as [`RingIndex::candidate_slices`].
     pub fn packed_slices(
         meta: &WideRingMeta,
         ring: &RingIndex,
@@ -798,7 +785,7 @@ struct ExitDirMeta {
 /// usually aiming far past it.
 ///
 /// **Why a 1-D table per side is exact.** Take `dst.x > maxx` (strictly
-/// east of every ring cell). Then the candidate set the scalar scan
+/// east of every ring cell). Then the candidate set the exit scan
 /// visits — static candidates ∪ column(`dst.x`) ∪ row(`dst.y`) — loses
 /// its column slice (no ring cell has that x), leaving a set that depends
 /// only on `dst.y`. For every candidate `c`, `dx = dst.x − c.x > 0`, so

@@ -19,17 +19,19 @@
 //!   blocked by a fault region traverse its ring to the best exit
 //!   (Chalasani–Boppana extended e-cube in spirit). Works uniformly over
 //!   rectangular faulty blocks and orthogonal convex disabled regions.
-//! * [`index`] — per-snapshot query indexes (segment-jump interval tables,
-//!   ring position maps, exit-candidate sets) built once per router so
-//!   query cost scales with fault encounters, not path length, plus the
+//! * [`index`] — per-snapshot query indexes (the segment table, ring
+//!   position maps, exit-candidate sets) built once per router so query
+//!   cost scales with fault encounters, not path length, plus the
 //!   reusable [`RouteScratch`] that makes `route_len` allocation-free.
-//! * `layout` / `wide` (crate-internal) — the batched SIMD-wide engine
-//!   behind `FaultTolerantRouter::route_len_batch`: cache-line-aligned
-//!   SoA repacks of the index tables and lockstep branch-free lane
-//!   kernels that move 4–8 queries through the index together,
-//!   byte-identical to the scalar path.
+//! * `layout` / `wide` (crate-internal) — the query engine: the
+//!   cache-line-aligned tables every query reads, the single-lane
+//!   traversal behind `route` / `route_len`, and the batch scheduler
+//!   behind `FaultTolerantRouter::route_len_batch` (struct-of-arrays
+//!   rounds that move a whole batch through the tables together), both
+//!   sharing one probe, hit-word decode and exit computation, and both
+//!   byte-identical to the per-hop reference.
 //! * [`incremental`] — delta-driven epoch builds: `rebuild_from` patches
-//!   the previous epoch's tables (untouched CSR/wide lines copied,
+//!   the previous epoch's tables (untouched segment lines copied,
 //!   unchanged ring indexes `Arc`-shared, matched exit-directory
 //!   segments memcpy'd) instead of rebuilding from scratch, and the cold
 //!   path itself is banded over scoped threads — both byte-identical to

@@ -9,13 +9,18 @@
 //! can resume — then continue XY. Orthogonal convexity of the fault region
 //! is what guarantees such an exit exists and the traversal never has to
 //! enter the region's row/column "pockets".
+//!
+//! [`FaultTolerantRouter`] owns the labeled view and its query tables;
+//! every query entry point runs the engine in [`crate::wide`] over them,
+//! and the per-hop traversal kept here is the oracle that engine is
+//! pinned byte-identical to.
 
 use crate::fault_ring::FaultRing;
-use crate::index::{CandidateColumns, RouteIndex, RouteScratch};
+use crate::index::{RouteIndex, RouteScratch};
 use crate::path::{EnabledMap, Path, RoutingError};
-use crate::xy::{preferred_direction, wrap_delta};
+use crate::xy::preferred_direction;
 use ocp_geometry::Region;
-use ocp_mesh::{Coord, Direction, Grid, Topology, TopologyKind};
+use ocp_mesh::{Coord, Grid, Topology};
 use std::cell::RefCell;
 use std::collections::HashSet;
 
@@ -35,14 +40,17 @@ thread_local! {
 /// immutable after construction, so a clone — or an `Arc`-shared
 /// instance — answers queries from any number of threads.
 ///
-/// Construction also builds the query indexes (segment-jump tables and
-/// per-ring exit-candidate indexes, see [`crate::index`]) so that per-query
-/// cost is proportional to the number of fault encounters rather than to
-/// path length. The pre-index per-hop algorithm is preserved as
+/// Construction also builds the query indexes (the segment table, per-ring
+/// exit candidates and the exit directory, see [`crate::index`]) so that
+/// per-query cost is proportional to the number of fault encounters rather
+/// than to path length. Every query entry point runs one of the two
+/// shapes of the engine in [`crate::wide`] over those tables: the
+/// single-lane traversal or the batch scheduler. The pre-index per-hop
+/// algorithm is preserved as the oracle
 /// [`route_reference`](FaultTolerantRouter::route_reference) /
 /// [`route_len_reference`](FaultTolerantRouter::route_len_reference); the
-/// two implementations are byte-identical by construction and by the
-/// proptest suite in `tests/equivalence.rs`.
+/// engine is byte-identical to it by construction and by the proptest
+/// suite in `tests/equivalence.rs`.
 #[derive(Clone)]
 pub struct FaultTolerantRouter {
     pub(crate) enabled: EnabledMap,
@@ -53,121 +61,6 @@ pub struct FaultTolerantRouter {
     pub(crate) groups: Vec<Region>,
     /// Precomputed query indexes (built once per router).
     pub(crate) index: RouteIndex,
-}
-
-/// The coordinate `k` hops from `c` in `dir` (wrapping on tori), without
-/// visiting the intermediate cells — the `route_len` side of a segment
-/// jump.
-pub(crate) fn advance_by(t: Topology, c: Coord, dir: Direction, k: usize) -> Coord {
-    let (dx, dy) = dir.offset();
-    let raw = Coord::new(c.x + dx * k as i32, c.y + dy * k as i32);
-    match t.kind() {
-        TopologyKind::Mesh => raw,
-        TopologyKind::Torus => t.wrap(raw),
-    }
-}
-
-/// The [`crate::index::dir_bit`] of `preferred_direction` derived from
-/// already-wrapped axis deltas, branch-light: x is corrected first, so the
-/// bit is East/West whenever `dx != 0`, else North/South, else 0 at the
-/// destination (0 never rejects, matching the `c == dst` feasibility case).
-pub(crate) fn exit_bit(dx: i32, dy: i32) -> u32 {
-    // West = 1, East = 2; South = 4, North = 8, none = 0 — all selects,
-    // no branches, so the exit scan vectorizes.
-    let xbit = 1 + (dx > 0) as u32;
-    let ybit = ((dy != 0) as u32) << (2 + (dy > 0) as u32);
-    if dx != 0 {
-        xbit
-    } else {
-        ybit
-    }
-}
-
-/// One torus axis of the exit objective: the wrap-aware signed delta (as
-/// `crate::xy::wrap_delta` — ties to the positive side) and the axis
-/// distance (as [`Topology::distance`]), from one shared reduction. `raw`
-/// must lie in `(-extent, extent)` (both coordinates in-machine).
-pub(crate) fn torus_axis(raw: i32, extent: i32) -> (i32, u32) {
-    let m = if raw < 0 { raw + extent } else { raw };
-    let delta = if 2 * m > extent { m - extent } else { m };
-    (delta, m.min(extent - m) as u32)
-}
-
-/// "No feasible candidate" bit of the wide (u64) packed exit objective.
-pub(crate) const INFEASIBLE: u64 = 1 << 63;
-
-/// Minimum packed `reject << 31 | distance << 16 | position` exit
-/// objective over candidates `cands[range]` (see
-/// [`FaultTolerantRouter::best_exit_indexed`]).
-fn scan_packed_u32(
-    t: Topology,
-    dst: Coord,
-    cands: &CandidateColumns,
-    range: std::ops::Range<usize>,
-) -> u32 {
-    let xs = &cands.xs[range.clone()];
-    let ys = &cands.ys[range.clone()];
-    let masks = &cands.masks[range.clone()];
-    let poss = &cands.poss[range];
-    let n = xs.len();
-    let mut best = u32::MAX;
-    match t.kind() {
-        TopologyKind::Mesh => {
-            for i in 0..n {
-                let (dx, dy) = (dst.x - xs[i], dst.y - ys[i]);
-                let dist = dx.unsigned_abs() + dy.unsigned_abs();
-                let reject = (masks[i] as u32 & exit_bit(dx, dy) != 0) as u32;
-                best = best.min((reject << 31) | (dist << 16) | poss[i]);
-            }
-        }
-        TopologyKind::Torus => {
-            let (w, h) = (t.width() as i32, t.height() as i32);
-            for i in 0..n {
-                let (dx, ax) = torus_axis(dst.x - xs[i], w);
-                let (dy, ay) = torus_axis(dst.y - ys[i], h);
-                let reject = (masks[i] as u32 & exit_bit(dx, dy) != 0) as u32;
-                best = best.min((reject << 31) | ((ax + ay) << 16) | poss[i]);
-            }
-        }
-    }
-    best
-}
-
-/// Minimum packed `reject << 63 | distance << 32 | position` exit
-/// objective over candidates `cands[range]` — the wide fallback for
-/// perimeter-scale rings.
-fn scan_packed_u64(
-    t: Topology,
-    dst: Coord,
-    cands: &CandidateColumns,
-    range: std::ops::Range<usize>,
-) -> u64 {
-    let xs = &cands.xs[range.clone()];
-    let ys = &cands.ys[range.clone()];
-    let masks = &cands.masks[range.clone()];
-    let poss = &cands.poss[range];
-    let n = xs.len();
-    let mut best = u64::MAX;
-    match t.kind() {
-        TopologyKind::Mesh => {
-            for i in 0..n {
-                let (dx, dy) = (dst.x - xs[i], dst.y - ys[i]);
-                let dist = dx.unsigned_abs() + dy.unsigned_abs();
-                let reject = (masks[i] as u32 & exit_bit(dx, dy) != 0) as u64 * INFEASIBLE;
-                best = best.min(((dist as u64) << 32) | poss[i] as u64 | reject);
-            }
-        }
-        TopologyKind::Torus => {
-            let (w, h) = (t.width() as i32, t.height() as i32);
-            for i in 0..n {
-                let (dx, ax) = torus_axis(dst.x - xs[i], w);
-                let (dy, ay) = torus_axis(dst.y - ys[i], h);
-                let reject = (masks[i] as u32 & exit_bit(dx, dy) != 0) as u64 * INFEASIBLE;
-                best = best.min((((ax + ay) as u64) << 32) | poss[i] as u64 | reject);
-            }
-        }
-    }
-    best
 }
 
 /// Chebyshev distance on the topology (wraparound-aware per dimension).
@@ -328,8 +221,15 @@ impl FaultTolerantRouter {
     /// Routes `src → dst`, detouring around fault regions on their rings.
     pub fn route(&self, src: Coord, dst: Coord) -> Result<Path, RoutingError> {
         let mut path = Path::new(src);
-        SCRATCH
-            .with(|s| self.traverse_indexed(src, dst, Some(&mut path.hops), &mut s.borrow_mut()))?;
+        SCRATCH.with(|s| {
+            crate::wide::traverse(
+                self,
+                src,
+                dst,
+                Some(&mut path.hops),
+                &mut s.borrow_mut().enc,
+            )
+        })?;
         Ok(path)
     }
 
@@ -338,7 +238,7 @@ impl FaultTolerantRouter {
     /// route (load generators, admission estimates). Returns exactly
     /// `route(src, dst).map(|p| p.len())`.
     pub fn route_len(&self, src: Coord, dst: Coord) -> Result<usize, RoutingError> {
-        SCRATCH.with(|s| self.traverse_indexed(src, dst, None, &mut s.borrow_mut()))
+        SCRATCH.with(|s| crate::wide::traverse(self, src, dst, None, &mut s.borrow_mut().enc))
     }
 
     /// [`route`](FaultTolerantRouter::route) into a caller-owned [`Path`]
@@ -354,7 +254,7 @@ impl FaultTolerantRouter {
     ) -> Result<usize, RoutingError> {
         path.hops.clear();
         path.hops.push(src);
-        self.traverse_indexed(src, dst, Some(&mut path.hops), scratch)
+        crate::wide::traverse(self, src, dst, Some(&mut path.hops), &mut scratch.enc)
     }
 
     /// [`route_len`](FaultTolerantRouter::route_len) with a caller-owned
@@ -365,16 +265,16 @@ impl FaultTolerantRouter {
         dst: Coord,
         scratch: &mut RouteScratch,
     ) -> Result<usize, RoutingError> {
-        self.traverse_indexed(src, dst, None, scratch)
+        crate::wide::traverse(self, src, dst, None, &mut scratch.enc)
     }
 
     /// Batched [`route_len`](FaultTolerantRouter::route_len) through the
-    /// wide SoA engine: the whole batch moves through the snapshot index
-    /// in lockstep lanes (see [`crate::wide`]), streaming each packed
-    /// index table once per round instead of once per query. Returns one
-    /// result per pair, in pair order, each *byte-identical* to calling
-    /// `route_len` on that pair — the equivalence suite pins wide ==
-    /// scalar indexed == reference.
+    /// batch scheduler: the whole batch moves through the snapshot index
+    /// in struct-of-arrays rounds (see [`crate::wide`]), streaming each
+    /// packed index table once per round instead of once per query.
+    /// Returns one result per pair, in pair order, each *byte-identical*
+    /// to calling `route_len` on that pair — the equivalence suite pins
+    /// batch == single-lane == reference.
     pub fn route_len_batch(&self, pairs: &[(Coord, Coord)]) -> Vec<Result<usize, RoutingError>> {
         let mut out = Vec::new();
         SCRATCH.with(|s| self.route_len_batch_with(pairs, &mut s.borrow_mut(), &mut out));
@@ -435,158 +335,6 @@ impl FaultTolerantRouter {
     /// [`route_reference`](FaultTolerantRouter::route_reference).
     pub fn route_len_reference(&self, src: Coord, dst: Coord) -> Result<usize, RoutingError> {
         self.traverse_reference(src, dst, None)
-    }
-
-    /// The indexed traversal core: XY segments plus ring walks. An
-    /// unobstructed XY segment is resolved with one [`crate::index`] probe
-    /// instead of one enabled-map check per hop; ring encounters use the
-    /// O(1) position map, the exit-candidate index, and the per-traversal
-    /// exit memo in `scratch`. Records every visited cell into `record`
-    /// when present (the `route` case) or only counts hops (the
-    /// `route_len` case). Returns the number of links traversed.
-    ///
-    /// Must stay byte-identical to
-    /// [`traverse_reference`](FaultTolerantRouter::traverse_reference) —
-    /// same paths, hop counts and errors — which `tests/equivalence.rs`
-    /// enforces on random mesh and torus maps.
-    pub(crate) fn traverse_indexed(
-        &self,
-        src: Coord,
-        dst: Coord,
-        mut record: Option<&mut Vec<Coord>>,
-        scratch: &mut RouteScratch,
-    ) -> Result<usize, RoutingError> {
-        let t = self.topology();
-        for endpoint in [src, dst] {
-            if !self.enabled.is_enabled(endpoint) {
-                return Err(RoutingError::EndpointDisabled { node: endpoint });
-            }
-        }
-        scratch.begin();
-        let mut hops = 0usize;
-        let mut cur = src;
-        let cap = (t.len() * 4).max(64);
-
-        while cur != dst {
-            if hops + 1 > cap {
-                return Err(RoutingError::LivelockDetected);
-            }
-            let dir = preferred_direction(t, cur, dst).expect("cur != dst");
-            let steps = match dir {
-                Direction::East | Direction::West => {
-                    wrap_delta(t, cur.x, dst.x, t.width()).unsigned_abs() as usize
-                }
-                Direction::North | Direction::South => {
-                    wrap_delta(t, cur.y, dst.y, t.height()).unsigned_abs() as usize
-                }
-            };
-            let seg = self.index.segments.probe(cur, dir, steps);
-            // The reference checks the cap before every hop; a segment that
-            // would run past it fails at the same hop count.
-            if hops + seg.advance > cap {
-                return Err(RoutingError::LivelockDetected);
-            }
-            match record.as_mut() {
-                Some(hops_out) => {
-                    for _ in 0..seg.advance {
-                        cur = t
-                            .neighbor(cur, dir)
-                            .coord()
-                            .expect("XY never leaves the machine");
-                        hops_out.push(cur);
-                    }
-                }
-                None => cur = advance_by(t, cur, dir, seg.advance),
-            }
-            hops += seg.advance;
-            let Some((_, region_code)) = seg.blocked else {
-                continue; // this axis is fully corrected; re-aim
-            };
-            // The reference's loop-top check for the iteration that
-            // discovers the blocked hop.
-            if hops + 1 > cap {
-                return Err(RoutingError::LivelockDetected);
-            }
-            // Blocked: the probe already identified the region.
-            assert_ne!(
-                region_code,
-                crate::index::NO_REGION,
-                "disabled non-region cell blocks XY"
-            );
-            let region_idx = region_code as usize;
-            let ring = &self.rings[region_idx];
-            if !ring.is_cycle() {
-                return Err(RoutingError::BoundaryFaultChain);
-            }
-            if !scratch.note_entry(region_idx, cur) {
-                return Err(RoutingError::LivelockDetected);
-            }
-            let here = self
-                .index
-                .position(region_idx, cur)
-                .expect("blocked node is on the blocking region's ring");
-            let exit = match scratch.lookup_exit(region_idx) {
-                Some(memoized) => memoized,
-                None => {
-                    let computed = self.best_exit_indexed(region_idx, dst);
-                    scratch.store_exit(region_idx, computed);
-                    computed
-                }
-            };
-            let exit = exit.ok_or(RoutingError::LivelockDetected)? as usize;
-            match record.as_mut() {
-                Some(hops_out) => {
-                    let walk = ring.shorter_walk(here, exit);
-                    hops += walk.len();
-                    hops_out.extend(walk);
-                    cur = *hops_out.last().expect("path never empty");
-                }
-                None => {
-                    hops += ring.shorter_walk_len(here, exit);
-                    cur = ring.cycle_cell(exit).expect("exit is a cycle position");
-                }
-            }
-        }
-        Ok(hops)
-    }
-
-    /// Exit selection over the candidate index: evaluates the same
-    /// feasibility predicate and distance objective as
-    /// [`best_exit`](FaultTolerantRouter::best_exit), but only at the
-    /// positions where the objective can attain its minimum (corners,
-    /// blocked-status transitions, destination-aligned and torus-antipodal
-    /// cells — see [`crate::index::RingIndex`]). The lexicographic
-    /// (distance, position) minimum reproduces `min_by_key`'s
-    /// first-minimum tie-break exactly.
-    fn best_exit_indexed(&self, region_idx: usize, dst: Coord) -> Option<u32> {
-        let t = self.topology();
-        if !self.rings[region_idx].is_cycle() {
-            return None;
-        }
-        let ring_index = &self.index.rings[region_idx];
-        if ring_index.compact() {
-            // Packed objective: `reject << 31 | distance << 16 | position`
-            // (positions fit 16 bits, distances 15 — checked at build).
-            // The u32 minimum is exactly the lexicographic (feasibility,
-            // distance, position) minimum — `min_by_key`'s first-minimum
-            // tie-break — and bit 31 of the result says whether any
-            // candidate was feasible. One branch-free u32 reduction per
-            // candidate, which auto-vectorizes, over the index's own
-            // slices (the candidates are never copied).
-            let mut best = u32::MAX;
-            ring_index.candidate_slices(t, dst, |c, r| {
-                best = best.min(scan_packed_u32(t, dst, c, r));
-            });
-            (best >> 31 == 0).then_some(best & 0xFFFF)
-        } else {
-            // Wide fallback for perimeter-scale rings: same objective in
-            // u64 lanes (`reject << 63 | distance << 32 | position`).
-            let mut best = u64::MAX;
-            ring_index.candidate_slices(t, dst, |c, r| {
-                best = best.min(scan_packed_u64(t, dst, c, r));
-            });
-            (best & INFEASIBLE == 0).then_some(best as u32)
-        }
     }
 
     /// The pre-index traversal core, preserved for

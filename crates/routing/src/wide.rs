@@ -1,86 +1,65 @@
-//! The wide (multi-query) batched route-length engine.
+//! The router's query engine over the per-snapshot wide tables, in two
+//! shapes that share every table access:
 //!
-//! `FaultTolerantRouter::route_len_batch` moves a whole batch of queries
-//! through the per-snapshot index in struct-of-arrays lanes instead of one
-//! traversal at a time. Each scheduler *round* advances every still-active
-//! query by one traversal step:
+//! * [`traverse`] — the single-lane traversal behind `route`,
+//!   `route_len`, `route_into`, `route_len_with` and the primary path of
+//!   `route_disjoint`: one query runs to completion as a plain loop, and
+//!   cells are pushed only when a path is requested.
+//! * [`route_len_batch_wide`] — the batch scheduler behind
+//!   `FaultTolerantRouter::route_len_batch`, which moves a whole batch of
+//!   queries through the tables in struct-of-arrays lanes.
 //!
-//! 1. **Aim** — per query: retire arrivals, apply the hop-cap check, and
-//!    compute the XY-preferred direction and axis window with
-//!    `preferred_direction` unrolled into branch-free selects (the aim
-//!    direction is effectively random across a batch, so a computed
-//!    direction index replaces a mispredict-prone branch per probe).
-//! 2. **Probe** — on snapshots with next-blocked tables (see
+//! Both aim with `preferred_direction` unrolled into branch-free selects
+//! (a computed direction index replaces a mispredict-prone branch per
+//! probe) and share three pieces:
+//!
+//! 1. **Probe** — on snapshots with next-blocked tables (see
 //!    [`crate::layout::WideSegments`], all but degenerate geometries) a
 //!    probe is a *single* table load: the packed word carries both the
 //!    distance to the first disabled cell in the aim direction (torus
-//!    seams baked in at build) and the arena index of the blocking
-//!    cell's packed hit word. Otherwise probes fall back to the
-//!    vectorized kernels — `count_below` for short interval lines,
-//!    *lockstep branch-free binary search* over [`LANES`] staged lanes
-//!    for long ones (`base += (key < thr) as u32 * half` narrows every
-//!    lane unconditionally, computing the scalar `partition_point`).
-//! 3. **Advance** — per probe: apply the segment jump and the
-//!    reference's cap checks, then decode the packed hit word into the
-//!    fault-encounter bookkeeping (chain rejection, livelock guard,
-//!    entry cycle position, per-query exit memo) without chasing the
-//!    scalar path's dependent ring loads.
-//! 4. **Exit** — unmemoized encounters become exit tasks, sorted by
-//!    region. Destinations strictly outside the ring's bounding box
-//!    (the common case) resolve O(1) through the packed
-//!    [`crate::layout::ExitDirectory`]; the rest stream the packed
-//!    candidate blocks from [`crate::layout::WideRings`] as a
-//!    branch-free `reject << 31 | dist << 16 | pos` minimum in
-//!    [`U32x8`] lanes (u64 lanes via [`U64x4`] for non-compact rings).
+//!    seams baked in at build) and the arena index of the blocking cell's
+//!    packed hit word. Otherwise a probe is the partition point of the
+//!    walked line's sorted keys, resolved by [`resolve_blocked`]. Both
+//!    shapes call the one [`probe`].
+//! 2. **Hit-word decode** — [`decode_hit`] turns a blocked probe's packed
+//!    hit word into the fault-encounter bookkeeping (chain rejection,
+//!    livelock guard, entry cycle position) without chasing dependent
+//!    ring loads; the per-traversal [`Encounters`] hold the guard and the
+//!    exit memo.
+//! 3. **Exit** — [`compute_exit`]: destinations strictly outside the
+//!    ring's bounding box (the common case) resolve O(1) through the
+//!    packed [`crate::layout::ExitDirectory`]; the rest stream the packed
+//!    candidate blocks from [`crate::layout::WideRings`] as a branch-free
+//!    `reject << 31 | dist << 16 | pos` minimum in [`U32x8`] lanes (u64
+//!    lanes via [`U64x4`] over the ring's candidate columns for
+//!    non-compact rings). The batch sorts its exit tasks by region, so
+//!    consecutive tasks re-stream the same block.
 //!
-//! **Exactness contract**: results are byte-identical to running the
-//! scalar indexed traversal (`route_len_with`) per pair, which is itself
-//! pinned byte-identical to the pre-index reference. This holds by
-//! construction — each query performs the same checks in the same order
+//! **Exactness contract**: both shapes are byte-identical to the per-hop
+//! reference traversal (`route_reference`) — same paths, hop counts and
+//! errors. Each query performs the reference's checks in the same order
 //! on the same values; the next-blocked word and hit word are built from
-//! the same predicates the scalar path evaluates; the lockstep search
-//! computes the same partition point; min-reductions are
+//! the very predicates the reference evaluates per hop; min-reductions are
 //! order-independent, so lane-unrolled scans produce the scalar fold's
 //! exact minimum and tie-break; the exit directory is consulted only
-//! where the scan's argmin is position-invariant —
-//! and is enforced by `tests/equivalence.rs` on random mesh/torus maps.
+//! where the scan's argmin is position-invariant. `tests/equivalence.rs`
+//! enforces this on random mesh/torus maps.
 
 use crate::index::{RouteScratch, NO_REGION};
-use crate::layout::{ENTRY_CHAIN, ENTRY_UNPACKED};
+use crate::layout::{WideSegments, ENTRY_CHAIN, ENTRY_UNPACKED};
 use crate::path::RoutingError;
-use crate::router::{advance_by, exit_bit, torus_axis, FaultTolerantRouter, INFEASIBLE};
+use crate::router::FaultTolerantRouter;
 use crate::xy::wrap_delta;
 use ocp_mesh::{Coord, Direction, Topology, TopologyKind};
 
 /// Directions by computed aim index: positive/negative x, then y —
 /// matching the per-direction block order of the next-blocked tables.
-const DIRS: [Direction; 4] = [
+pub(crate) const DIRS: [Direction; 4] = [
     Direction::East,
     Direction::West,
     Direction::North,
     Direction::South,
 ];
-
-/// Query lanes stepping together through one lockstep probe search.
-pub(crate) const LANES: usize = 8;
-
-/// Line-length cutoff between the two probe kernels. At or below it the
-/// partition point is computed by [`count_below`] — a branch-free
-/// vectorized count that runs inline while the query's state is hot (a
-/// 64-key line is two cache lines of the SoA arena; the count's
-/// lane-parallel compares beat a serial binary search's dependent-load
-/// chain at this size). Above it, probes batch into [`lockstep_search`]
-/// blocks so the longer searches' loads overlap across queries.
-const COUNT_CUTOFF: u32 = 64;
-
-/// Vectorized partition point for short sorted lines: the count of keys
-/// `< thr` *is* `partition_point(|k| k < thr)` on a sorted slice, and a
-/// count has no data-dependent control flow, so the compiler reduces it
-/// with packed compares.
-#[inline]
-fn count_below(line: &[i32], thr: i32) -> u32 {
-    line.iter().map(|&k| u32::from(k < thr)).sum()
-}
 
 /// Eight u32 lanes — the manual-SIMD idiom of `ocp_core::labeling::bits`,
 /// sized for the packed u32 exit objective. All ops are lane-wise and
@@ -134,53 +113,6 @@ impl U64x4 {
     }
 }
 
-/// One staged probe: the lockstep search state plus what the advance
-/// phase needs to resolve the window scalar-exactly.
-#[derive(Clone, Copy, Debug)]
-struct Staged {
-    /// Owning query (index into the batch).
-    query: u32,
-    /// Line start in the key arena.
-    start: u32,
-    /// Remaining search-interval length (the answer is in
-    /// `[base, base + n]`).
-    n: u32,
-    /// Search-interval base, relative to `start`; after the search this
-    /// is the partition point.
-    base: u32,
-    /// Line length.
-    len: u32,
-    /// Exclusive search threshold: the search counts keys `< thr`
-    /// (`thr = pos + 1` reproduces the scalar `<= pos` search, `thr =
-    /// pos` the `< pos` one).
-    thr: i32,
-    /// Probe origin on the walked axis.
-    pos: i32,
-    /// Window length in hops.
-    steps: i32,
-    /// Probe direction.
-    dir: Direction,
-}
-
-impl Staged {
-    /// Inert lane filler for partial blocks: a one-key "search" of line
-    /// offset 0 with an unsatisfiable threshold. Contributes zero loop
-    /// iterations, touches only `keys[0]` (the caller guarantees a
-    /// non-empty arena whenever any real lane is staged), and is never
-    /// resolved.
-    const IDLE: Staged = Staged {
-        query: 0,
-        start: 0,
-        n: 1,
-        base: 0,
-        len: 0,
-        thr: i32::MIN,
-        pos: 0,
-        steps: 0,
-        dir: Direction::East,
-    };
-}
-
 /// One unmemoized fault encounter awaiting an exit scan.
 #[derive(Clone, Copy, Debug)]
 struct ExitTask {
@@ -207,21 +139,54 @@ pub(crate) struct WideBuffers {
     next_active: Vec<u32>,
     /// Exit scans pending this round (sorted by region before running).
     tasks: Vec<ExitTask>,
-    /// Per-query livelock guard: `(region, entry cell)` pairs seen.
-    entries: Vec<Vec<(u32, Coord)>>,
-    /// Per-query exit memo: `(region, resolved exit)` once computed (dst
-    /// is fixed per query, so a ring's best exit never changes across
-    /// re-encounters — same contract as the scalar scratch memo). The
-    /// resolved exit carries `(cycle position, exit cell, ring length)`
-    /// so a memo hit re-applies the walk without loading the ring;
-    /// `None` records infeasibility.
-    exits: Vec<Vec<ExitMemo>>,
+    /// Per-query livelock guard and exit memo.
+    enc: Vec<Encounters>,
 }
 
-/// One exit-memo entry: the region id and, if the ring is escapable
-/// toward this query's destination, `(cycle position, exit cell, ring
-/// length)` of the resolved exit.
-type ExitMemo = (u32, Option<(u32, Coord, u32)>);
+/// A resolved exit: `(cycle position, exit cell, ring length)`, enough to
+/// re-apply the ring walk without loading the ring.
+pub(crate) type Exit = (u32, Coord, u32);
+
+/// One traversal's fault-encounter state: the livelock guard (`(region,
+/// entry cell)` pairs seen) and the exit memo (dst is fixed within one
+/// traversal, so a ring's best exit never changes across re-encounters;
+/// `None` records infeasibility). Cleared, not freed, per traversal.
+#[derive(Debug, Default)]
+pub(crate) struct Encounters {
+    entries: Vec<(u32, Coord)>,
+    exits: Vec<(u32, Option<Exit>)>,
+}
+
+impl Encounters {
+    /// Resets the guard and memo, keeping buffer capacity.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.exits.clear();
+    }
+
+    /// Records a ring entry; `false` if this (region, entry) was already
+    /// seen this traversal (the livelock condition).
+    pub fn note_entry(&mut self, region: u32, entry: Coord) -> bool {
+        if self.entries.contains(&(region, entry)) {
+            return false;
+        }
+        self.entries.push((region, entry));
+        true
+    }
+
+    /// The memoized exit of `region`, if resolved this traversal.
+    pub fn lookup_exit(&self, region: u32) -> Option<Option<Exit>> {
+        self.exits
+            .iter()
+            .find(|&&(r, _)| r == region)
+            .map(|&(_, e)| e)
+    }
+
+    /// Memoizes the exit of `region`.
+    pub fn store_exit(&mut self, region: u32, exit: Option<Exit>) {
+        self.exits.push((region, exit));
+    }
+}
 
 /// `FaultRing::shorter_walk_len` on packed operands: the shorter of the
 /// two cycle walks between positions `from` and `to` on an `n`-cell ring
@@ -253,97 +218,54 @@ impl WideBuffers {
         self.hops.clear();
         self.hops.resize(n, 0);
         self.active.clear();
-        for list in self.entries.iter_mut().take(n) {
-            list.clear();
+        for enc in self.enc.iter_mut().take(n) {
+            enc.clear();
         }
-        for list in self.exits.iter_mut().take(n) {
-            list.clear();
-        }
-        if self.entries.len() < n {
-            self.entries.resize_with(n, Vec::new);
-        }
-        if self.exits.len() < n {
-            self.exits.resize_with(n, Vec::new);
+        if self.enc.len() < n {
+            self.enc.resize_with(n, Encounters::default);
         }
     }
 }
 
-/// Runs the lockstep branch-free binary search for up to [`LANES`] staged
-/// probes at once. On return every lane's `base` is its partition point:
-/// the count of line keys `< thr`, identical to the scalar
-/// `partition_point` the probe resolution expects.
-///
-/// Every iteration executes the same three unconditional operations per
-/// lane — `half = n / 2`, a key load, `base += (key < thr) * half` — so
-/// lane progress never branches on data, and the (independent) lane loads
-/// pipeline. The iteration count is fixed up front from the longest lane
-/// (every lane's interval becomes `ceil(n / 2)` per round, so `2^k ≥
-/// max n` rounds finish them all); exhausted lanes idle harmlessly —
-/// `half == 0` makes every update a no-op and the guarded index stays in
-/// range.
-#[inline]
-fn lockstep_search(keys: &[i32], lanes: &mut [Staged]) {
-    let mut max_n = 0u32;
-    for lane in lanes.iter() {
-        max_n = max_n.max(lane.n);
-    }
-    while max_n > 1 {
-        for lane in lanes.iter_mut() {
-            let half = lane.n >> 1;
-            let idx = (lane.start + lane.base + half) as usize - usize::from(half > 0);
-            let sat = u32::from(keys[idx] < lane.thr);
-            lane.base += sat * half;
-            lane.n -= half;
-        }
-        max_n -= max_n >> 1;
-    }
-    for lane in lanes.iter_mut() {
-        let idx = (lane.start + lane.base) as usize;
-        lane.base += u32::from(keys[idx] < lane.thr);
-    }
-}
-
-/// Resolves a finished probe into the scalar `first_blocked` outcome:
-/// hops to the first disabled cell in the window plus its packed hit word
-/// (region code + entry positions — see
-/// [`crate::layout::WideSegments`]), or `None` if the window is clear.
-/// `pp` (the lane's final `base`) is the partition point of the scalar
-/// search; the remaining window logic — torus seams included — is the
-/// scalar code on the packed columns.
+/// Resolves a probe from a partition point: hops to the first disabled
+/// cell within `steps` of `pos` toward `dir` plus its packed hit word
+/// (region code + entry positions — see [`WideSegments`]), or `None` if
+/// the window is clear. `line` is the walked line's sorted keys,
+/// `line_hits` their hit words, and `pp` the count of keys `< pos` for a
+/// negative probe or `<= pos` for a positive one. On a torus a window
+/// that crosses the seam wraps to the line's far end.
 #[inline]
 fn resolve_blocked(
-    keys: &[i32],
-    hits: &[u64],
-    s: &Staged,
-    extent: i32,
-    positive: bool,
-    torus: bool,
+    line: &[i32],
+    line_hits: &[u64],
+    pp: usize,
+    pos: i32,
+    steps: i32,
+    t: Topology,
+    dir: Direction,
 ) -> Option<(i32, u64)> {
-    let st = s.start as usize;
-    let len = s.len as usize;
-    let pp = s.base as usize;
-    let line = &keys[st..st + len];
-    let line_hits = &hits[st..st + len];
+    let (positive, extent) = dir_info(t, dir);
+    let torus = t.kind() == TopologyKind::Torus;
+    let len = line.len();
     if positive {
-        let end = s.pos + s.steps;
+        let end = pos + steps;
         if !torus || end < extent {
-            return (pp < len && line[pp] <= end).then(|| (line[pp] - s.pos, line_hits[pp]));
+            return (pp < len && line[pp] <= end).then(|| (line[pp] - pos, line_hits[pp]));
         }
         if pp < len {
-            return Some((line[pp] - s.pos, line_hits[pp]));
+            return Some((line[pp] - pos, line_hits[pp]));
         }
-        (line[0] <= end - extent).then(|| (line[0] + extent - s.pos, line_hits[0]))
+        (line[0] <= end - extent).then(|| (line[0] + extent - pos, line_hits[0]))
     } else {
-        let end = s.pos - s.steps;
+        let end = pos - steps;
         if !torus || end >= 0 {
             return (pp > 0 && line[pp - 1] >= end)
-                .then(|| (s.pos - line[pp - 1], line_hits[pp - 1]));
+                .then(|| (pos - line[pp - 1], line_hits[pp - 1]));
         }
         if pp > 0 {
-            return Some((s.pos - line[pp - 1], line_hits[pp - 1]));
+            return Some((pos - line[pp - 1], line_hits[pp - 1]));
         }
-        (line[len - 1] >= end + extent)
-            .then(|| (s.pos + extent - line[len - 1], line_hits[len - 1]))
+        (line[len - 1] >= end + extent).then(|| (pos + extent - line[len - 1], line_hits[len - 1]))
     }
 }
 
@@ -358,8 +280,131 @@ fn dir_info(t: Topology, dir: Direction) -> (bool, i32) {
     (positive, extent)
 }
 
-/// The packed-u32 exit key of one candidate word on a mesh — the exact
-/// arithmetic of the scalar `scan_packed_u32` on the word's fields.
+/// The XY aim from `cur` toward `dst != cur`: `preferred_direction`
+/// unrolled into selects, as a computed index into [`DIRS`] (E=0 W=1 N=2
+/// S=3 — the next-blocked block order), plus the window length in hops.
+/// Both axis deltas are computed up front and the x-first rule is a
+/// select, so nothing here branches on the (effectively random) aim.
+#[inline(always)]
+fn aim(t: Topology, cur: Coord, dst: Coord) -> (usize, i32) {
+    let dx = wrap_delta(t, cur.x, dst.x, t.width());
+    let dy = wrap_delta(t, cur.y, dst.y, t.height());
+    let xfirst = dx != 0;
+    let delta = if xfirst { dx } else { dy };
+    let dir_idx = (usize::from(!xfirst) << 1) | usize::from(delta < 0);
+    (dir_idx, delta.unsigned_abs() as i32)
+}
+
+/// One-load probe through the next-blocked tables (valid only when
+/// [`WideSegments::have_next`]): hops to the first disabled cell within
+/// `steps` of `cur` toward `DIRS[dir_idx]` and its hit word, or `None`
+/// when the window is clear. The address reuses the computed direction
+/// index (row-major x-lines, column-major y-lines), so nothing on this
+/// path re-branches on the direction.
+#[inline(always)]
+pub(crate) fn probe_next(
+    segments: &WideSegments,
+    t: Topology,
+    cur: Coord,
+    dir_idx: usize,
+    steps: i32,
+) -> Option<(i32, u64)> {
+    let cell = if dir_idx < 2 {
+        cur.y * t.width() as i32 + cur.x
+    } else {
+        cur.x * t.height() as i32 + cur.y
+    };
+    let v = segments.next()[(segments.next_base()[dir_idx] + cell as u32) as usize];
+    let dist = (v & 0xFFFF) as i32;
+    (dist <= steps).then(|| (dist, segments.hits()[(v >> 16) as usize]))
+}
+
+/// The same probe without next-blocked tables: the partition point of the
+/// walked line's keys, resolved by [`resolve_blocked`].
+pub(crate) fn probe_search(
+    segments: &WideSegments,
+    t: Topology,
+    cur: Coord,
+    dir_idx: usize,
+    steps: i32,
+) -> Option<(i32, u64)> {
+    let dir = DIRS[dir_idx];
+    let (start, len) = segments.line(dir, cur);
+    if len == 0 {
+        return None;
+    }
+    let line = start as usize..(start + len) as usize;
+    let keys = &segments.keys()[line.clone()];
+    let pos = if dir_idx < 2 { cur.x } else { cur.y };
+    let thr = pos + i32::from(dir_idx & 1 == 0);
+    let pp = keys.partition_point(|&k| k < thr);
+    resolve_blocked(keys, &segments.hits()[line], pp, pos, steps, t, dir)
+}
+
+/// The probe shared by [`traverse`] and the batch scheduler:
+/// [`probe_next`] where the snapshot has next-blocked tables, else
+/// [`probe_search`].
+#[inline(always)]
+fn probe(
+    segments: &WideSegments,
+    t: Topology,
+    cur: Coord,
+    dir_idx: usize,
+    steps: i32,
+) -> Option<(i32, u64)> {
+    if segments.have_next() {
+        probe_next(segments, t, cur, dir_idx, steps)
+    } else {
+        probe_search(segments, t, cur, dir_idx, steps)
+    }
+}
+
+/// The coordinate `k` hops from `c` in `dir` (wrapping on tori), without
+/// visiting the intermediate cells — the `route_len` side of a segment
+/// jump.
+pub(crate) fn advance_by(t: Topology, c: Coord, dir: Direction, k: usize) -> Coord {
+    let (dx, dy) = dir.offset();
+    let raw = Coord::new(c.x + dx * k as i32, c.y + dy * k as i32);
+    match t.kind() {
+        TopologyKind::Mesh => raw,
+        TopologyKind::Torus => t.wrap(raw),
+    }
+}
+
+/// The [`crate::index::dir_bit`] of `preferred_direction` derived from
+/// already-wrapped axis deltas, branch-light: x is corrected first, so the
+/// bit is East/West whenever `dx != 0`, else North/South, else 0 at the
+/// destination (0 never rejects, matching the `c == dst` feasibility case).
+fn exit_bit(dx: i32, dy: i32) -> u32 {
+    // West = 1, East = 2; South = 4, North = 8, none = 0 — all selects,
+    // no branches, so the exit scan vectorizes.
+    let xbit = 1 + (dx > 0) as u32;
+    let ybit = ((dy != 0) as u32) << (2 + (dy > 0) as u32);
+    if dx != 0 {
+        xbit
+    } else {
+        ybit
+    }
+}
+
+/// One torus axis of the exit objective: the wrap-aware signed delta (as
+/// `crate::xy::wrap_delta` — ties to the positive side) and the axis
+/// distance (as [`Topology::distance`]), from one shared reduction. `raw`
+/// must lie in `(-extent, extent)` (both coordinates in-machine).
+fn torus_axis(raw: i32, extent: i32) -> (i32, u32) {
+    let m = if raw < 0 { raw + extent } else { raw };
+    let delta = if 2 * m > extent { m - extent } else { m };
+    (delta, m.min(extent - m) as u32)
+}
+
+/// "No feasible candidate" bit of the u64 packed exit objective.
+const INFEASIBLE: u64 = 1 << 63;
+
+/// The packed-u32 exit key of one candidate word on a mesh: `reject << 31
+/// | distance << 16 | position`, so the u32 minimum is exactly the
+/// lexicographic (feasibility, distance, position) minimum — the
+/// reference `min_by_key`'s first-minimum tie-break — and bit 31 of the
+/// minimum says whether any candidate was feasible.
 #[inline(always)]
 fn word_key_mesh(w: u64, dst: Coord) -> u32 {
     let dx = dst.x - (w & 0x7FFF) as i32;
@@ -421,8 +466,9 @@ fn scan_words(t: Topology, dst: Coord, words: &[u64]) -> u32 {
     }
 }
 
-/// Non-compact fallback: the scalar u64 exit objective over the scalar
-/// candidate columns, reduced in [`U64x4`] lanes.
+/// Non-compact fallback: the same objective widened to `reject << 63 |
+/// distance << 32 | position` over the ring's candidate columns, reduced
+/// in [`U64x4`] lanes.
 fn scan_columns_u64(
     t: Topology,
     dst: Coord,
@@ -465,9 +511,11 @@ fn scan_columns_u64(
 }
 
 /// Best exit of one ring for `dst` by candidate scan — packed-word scan
-/// for compact rings, u64-lane column scan otherwise. Decision-identical
-/// to the scalar `best_exit_indexed`. Shared by the runtime fallback and
-/// the build-time [`crate::layout::ExitDirectory`] precomputation.
+/// for compact rings, u64-lane column scan otherwise — over the exact
+/// candidate set of [`crate::index::RingIndex`]. Decision-identical to
+/// the reference full-perimeter `best_exit`. The only exit scan: shared
+/// by the runtime fallback and the build-time
+/// [`crate::layout::ExitDirectory`] precomputation.
 pub(crate) fn exit_scan(
     t: Topology,
     ring_index: &crate::index::RingIndex,
@@ -525,8 +573,128 @@ fn compute_exit(
     })
 }
 
+/// Decodes a blocked probe's hit word for the query standing on `entry`:
+/// the chain rejection reads the word's [`ENTRY_CHAIN`] sentinel, the
+/// livelock guard records `(region, entry)`, and the entry's cycle
+/// position comes from the word's direction-matching field (falling back
+/// to `RouteIndex::position` on [`ENTRY_UNPACKED`]) — the reference's
+/// checks in the reference's order. Returns `(region, position)`.
+#[inline]
+fn decode_hit(
+    router: &FaultTolerantRouter,
+    word: u64,
+    dir_idx: usize,
+    entry: Coord,
+    enc: &mut Encounters,
+) -> Result<(u32, u32), RoutingError> {
+    let region = word as u32;
+    assert_ne!(region, NO_REGION, "disabled non-region cell blocks XY");
+    // Positive probes (E, N: even indices) enter at the key's minus side.
+    let epos = ((word >> if dir_idx & 1 == 0 { 32 } else { 48 }) & 0xFFFF) as u32;
+    if epos == ENTRY_CHAIN {
+        return Err(RoutingError::BoundaryFaultChain);
+    }
+    if !enc.note_entry(region, entry) {
+        return Err(RoutingError::LivelockDetected);
+    }
+    let here = if epos == ENTRY_UNPACKED {
+        router
+            .index
+            .position(region as usize, entry)
+            .expect("blocked node is on the blocking region's ring") as u32
+    } else {
+        epos
+    };
+    Ok((region, here))
+}
+
+/// The single-lane traversal: XY segments plus ring walks for one query,
+/// run to completion. Records every visited cell into `record` when
+/// present (the `route` case) or only counts hops (the `route_len` case).
+/// Returns the number of links traversed.
+///
+/// Must stay byte-identical to the reference per-hop traversal — same
+/// paths, hop counts and errors — which `tests/equivalence.rs` enforces.
+pub(crate) fn traverse(
+    router: &FaultTolerantRouter,
+    src: Coord,
+    dst: Coord,
+    mut record: Option<&mut Vec<Coord>>,
+    enc: &mut Encounters,
+) -> Result<usize, RoutingError> {
+    let t = router.topology();
+    for endpoint in [src, dst] {
+        if !router.enabled.is_enabled(endpoint) {
+            return Err(RoutingError::EndpointDisabled { node: endpoint });
+        }
+    }
+    enc.clear();
+    let segments = &router.index.segments;
+    let cap = (t.len() * 4).max(64);
+    let mut hops = 0usize;
+    let mut cur = src;
+    while cur != dst {
+        if hops + 1 > cap {
+            return Err(RoutingError::LivelockDetected);
+        }
+        let (dir_idx, steps) = aim(t, cur, dst);
+        let dir = DIRS[dir_idx];
+        let hit = probe(segments, t, cur, dir_idx, steps);
+        let advance = hit.map_or(steps, |(d, _)| d - 1) as usize;
+        // The reference checks the cap before every hop; a segment that
+        // would run past it fails at the same hop count.
+        if hops + advance > cap {
+            return Err(RoutingError::LivelockDetected);
+        }
+        match record.as_mut() {
+            Some(path) => {
+                for _ in 0..advance {
+                    cur = t
+                        .neighbor(cur, dir)
+                        .coord()
+                        .expect("XY never leaves the machine");
+                    path.push(cur);
+                }
+            }
+            None => cur = advance_by(t, cur, dir, advance),
+        }
+        hops += advance;
+        let Some((_, word)) = hit else {
+            continue; // this axis is fully corrected; re-aim
+        };
+        // The reference's loop-top check for the iteration that
+        // discovers the blocked hop.
+        if hops + 1 > cap {
+            return Err(RoutingError::LivelockDetected);
+        }
+        let (region, here) = decode_hit(router, word, dir_idx, cur, enc)?;
+        let exit = match enc.lookup_exit(region) {
+            Some(memo) => memo,
+            None => {
+                let exit = compute_exit(router, t, region as usize, dst);
+                enc.store_exit(region, exit);
+                exit
+            }
+        };
+        let (exit, cell, ring_len) = exit.ok_or(RoutingError::LivelockDetected)?;
+        match record.as_mut() {
+            Some(path) => {
+                let walk = router.rings[region as usize].shorter_walk(here as usize, exit as usize);
+                hops += walk.len();
+                path.extend(walk);
+            }
+            None => hops += walk_min(here, exit, ring_len),
+        }
+        cur = cell;
+    }
+    Ok(hops)
+}
+
 /// The batch scheduler. Writes one result per pair into `out`, in pair
-/// order, each byte-identical to `route_len_with` on that pair.
+/// order, each byte-identical to [`traverse`] on that pair. Each round
+/// advances every still-active query by one step — aim, probe, advance,
+/// hit-word decode — then runs the round's unmemoized exits sorted by
+/// region.
 pub(crate) fn route_len_batch_wide(
     router: &FaultTolerantRouter,
     pairs: &[(Coord, Coord)],
@@ -535,14 +703,13 @@ pub(crate) fn route_len_batch_wide(
 ) {
     let t = router.topology();
     let cap = (t.len() * 4).max(64);
-    let torus = t.kind() == TopologyKind::Torus;
     out.clear();
     out.resize(pairs.len(), Ok(0));
     let wb = &mut scratch.wide;
     wb.reset(pairs.len());
 
     for (i, &(src, dst)) in pairs.iter().enumerate() {
-        // Endpoint checks in the scalar order: src first, then dst.
+        // Endpoint checks in the reference order: src first, then dst.
         if let Some(&node) = [src, dst].iter().find(|&&e| !router.enabled.is_enabled(e)) {
             out[i] = Err(RoutingError::EndpointDisabled { node });
             continue;
@@ -552,23 +719,14 @@ pub(crate) fn route_len_batch_wide(
         wb.active.push(i as u32);
     }
 
-    let segments = &router.index.wide_segments;
-    let keys = segments.keys();
-    let hits = segments.hits();
-    let next = segments.next();
-    let have_next = segments.have_next();
+    let segments = &router.index.segments;
 
     while !wb.active.is_empty() {
         wb.next_active.clear();
         wb.tasks.clear();
 
-        // Aim → probe → advance, fused per query. With the next-blocked
-        // tables a probe is one table load (window clear or encounter,
-        // torus seams baked in); without them, short lines resolve
-        // through the vectorized count kernel and long lines batch into
-        // lockstep blocks of [`LANES`].
-        let mut lanes = [Staged::IDLE; LANES];
-        let mut lane_count = 0usize;
+        // Aim → probe → advance, fused per query, through the same probe
+        // as [`traverse`].
         for ai in 0..wb.active.len() {
             let q = wb.active[ai] as usize;
             let (cur, dst) = (wb.cur[q], wb.dst[q]);
@@ -580,95 +738,9 @@ pub(crate) fn route_len_batch_wide(
                 out[q] = Err(RoutingError::LivelockDetected);
                 continue;
             }
-            // `preferred_direction` unrolled into selects: both axis
-            // deltas up front, then the x-first rule as a computed
-            // direction index (E=0 W=1 N=2 S=3). The aim direction is
-            // data-dependent and effectively random across a batch, so
-            // keeping it branch-free avoids a mispredict per probe.
-            let dx = wrap_delta(t, cur.x, dst.x, t.width());
-            let dy = wrap_delta(t, cur.y, dst.y, t.height());
-            let xfirst = dx != 0;
-            let delta = if xfirst { dx } else { dy };
-            let dir_idx = (usize::from(!xfirst) << 1) | usize::from(delta < 0);
-            let dir = DIRS[dir_idx];
-            let steps = delta.unsigned_abs() as i32;
-            if have_next {
-                // One table load answers the whole probe — window-clear
-                // distance or encounter, torus seams baked in at build.
-                // The probe address reuses the computed direction index
-                // (row-major x-lines, column-major y-lines) so nothing
-                // on this path re-branches on the direction.
-                let cell = if xfirst {
-                    cur.y * t.width() as i32 + cur.x
-                } else {
-                    cur.x * t.height() as i32 + cur.y
-                };
-                let at = (segments.next_base()[dir_idx] + cell as u32) as usize;
-                let v = next[at];
-                let dist = (v & 0xFFFF) as i32;
-                let hit = (dist <= steps).then(|| (dist, hits[(v >> 16) as usize]));
-                apply_probe(router, t, cap, wb, out, q as u32, dir, steps, hit);
-                continue;
-            }
-            let (start, len) = segments.line(dir, cur);
-            if len == 0 {
-                // No disabled cell anywhere on this line: the whole
-                // window is clear (the fast XY-only case).
-                if wb.hops[q] + steps as usize > cap {
-                    out[q] = Err(RoutingError::LivelockDetected);
-                    continue;
-                }
-                wb.cur[q] = advance_by(t, cur, dir, steps as usize);
-                wb.hops[q] += steps as usize;
-                wb.next_active.push(q as u32);
-                continue;
-            }
-            let positive = matches!(dir, Direction::East | Direction::North);
-            let pos = match dir {
-                Direction::East | Direction::West => cur.x,
-                Direction::North | Direction::South => cur.y,
-            };
-            let mut staged = Staged {
-                query: q as u32,
-                start,
-                n: len,
-                base: 0,
-                len,
-                thr: pos + i32::from(positive),
-                pos,
-                steps,
-                dir,
-            };
-            if len <= COUNT_CUTOFF {
-                let line = &keys[start as usize..(start + len) as usize];
-                staged.base = count_below(line, staged.thr);
-                let (positive, extent) = dir_info(t, dir);
-                let hit = resolve_blocked(keys, hits, &staged, extent, positive, torus);
-                apply_probe(router, t, cap, wb, out, q as u32, dir, steps, hit);
-            } else {
-                lanes[lane_count] = staged;
-                lane_count += 1;
-                if lane_count == LANES {
-                    lockstep_search(keys, &mut lanes);
-                    for s in &lanes {
-                        let (positive, extent) = dir_info(t, s.dir);
-                        let hit = resolve_blocked(keys, hits, s, extent, positive, torus);
-                        apply_probe(router, t, cap, wb, out, s.query, s.dir, s.steps, hit);
-                    }
-                    lanes = [Staged::IDLE; LANES];
-                    lane_count = 0;
-                }
-            }
-        }
-        // Flush the partial lockstep block (idle fillers are no-ops; a
-        // staged lane implies the key arena is non-empty).
-        if lane_count > 0 {
-            lockstep_search(keys, &mut lanes);
-            for s in lanes.iter().take(lane_count) {
-                let (positive, extent) = dir_info(t, s.dir);
-                let hit = resolve_blocked(keys, hits, s, extent, positive, torus);
-                apply_probe(router, t, cap, wb, out, s.query, s.dir, s.steps, hit);
-            }
+            let (dir_idx, steps) = aim(t, cur, dst);
+            let hit = probe(segments, t, cur, dir_idx, steps);
+            apply_probe(router, t, cap, wb, out, q as u32, dir_idx, steps, hit);
         }
 
         // Exit scans, bucketed by region so consecutive tasks stream the
@@ -682,7 +754,7 @@ pub(crate) fn route_len_batch_wide(
             } = wb.tasks[ti];
             let q = query as usize;
             let exit = compute_exit(router, t, region as usize, wb.dst[q]);
-            wb.exits[q].push((region, exit));
+            wb.enc[q].store_exit(region, exit);
             match exit {
                 None => out[q] = Err(RoutingError::LivelockDetected),
                 Some((e, cell, ring_len)) => {
@@ -697,19 +769,11 @@ pub(crate) fn route_len_batch_wide(
     }
 }
 
-/// Applies one resolved probe to its query — exactly the scalar
-/// traversal's check order: window resolution, the reference's cap
-/// checks, the segment jump, and fault-encounter bookkeeping (chain
-/// rejection, livelock guard, position lookup, exit memo). Unmemoized
-/// encounters join `wb.tasks` for the exit phase.
-///
-/// The encounter bookkeeping decodes the packed hit word instead of
-/// chasing the scalar path's dependent loads: the chain rejection reads
-/// the word's [`ENTRY_CHAIN`] sentinel (precomputed from the very
-/// `is_cycle` the scalar checks), the cycle position comes from the
-/// word's direction-matching field (falling back to the scalar
-/// `position` lookup on [`ENTRY_UNPACKED`]), and memo hits re-apply the
-/// walk from the memoized `(position, cell, ring length)` triple.
+/// Applies one resolved probe to its query — exactly [`traverse`]'s check
+/// order: the cap checks, the segment jump, then the shared
+/// [`decode_hit`] and the exit memo. Memo hits re-apply the walk from the
+/// memoized [`Exit`]; unmemoized encounters join `wb.tasks` for the exit
+/// phase.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn apply_probe(
@@ -719,70 +783,43 @@ fn apply_probe(
     wb: &mut WideBuffers,
     out: &mut [Result<usize, RoutingError>],
     query: u32,
-    dir: Direction,
+    dir_idx: usize,
     steps: i32,
     hit: Option<(i32, u64)>,
 ) {
     let q = query as usize;
-    let positive = matches!(dir, Direction::East | Direction::North);
-    let advance = match hit {
-        Some((d, _)) => (d - 1) as usize,
-        None => steps as usize,
-    };
-    // The reference checks the cap before every hop; a segment that
-    // would run past it fails at the same hop count.
+    let advance = hit.map_or(steps, |(d, _)| d - 1) as usize;
     if wb.hops[q] + advance > cap {
         out[q] = Err(RoutingError::LivelockDetected);
         return;
     }
-    wb.cur[q] = advance_by(t, wb.cur[q], dir, advance);
+    wb.cur[q] = advance_by(t, wb.cur[q], DIRS[dir_idx], advance);
     wb.hops[q] += advance;
     let Some((_, word)) = hit else {
-        wb.next_active.push(q as u32);
+        wb.next_active.push(query);
         return;
     };
-    // The reference's loop-top check for the iteration that discovers
-    // the blocked hop.
     if wb.hops[q] + 1 > cap {
         out[q] = Err(RoutingError::LivelockDetected);
         return;
     }
-    let region_code = word as u32;
-    assert_ne!(region_code, NO_REGION, "disabled non-region cell blocks XY");
-    let epos = ((word >> if positive { 32 } else { 48 }) & 0xFFFF) as u32;
-    if epos == ENTRY_CHAIN {
-        out[q] = Err(RoutingError::BoundaryFaultChain);
-        return;
-    }
-    let entry = wb.cur[q];
-    let guard = &mut wb.entries[q];
-    if guard.iter().any(|&(r, c)| r == region_code && c == entry) {
-        out[q] = Err(RoutingError::LivelockDetected);
-        return;
-    }
-    guard.push((region_code, entry));
-    let here = if epos == ENTRY_UNPACKED {
-        router
-            .index
-            .position(region_code as usize, entry)
-            .expect("blocked node is on the blocking region's ring") as u32
-    } else {
-        epos
+    let (region, here) = match decode_hit(router, word, dir_idx, wb.cur[q], &mut wb.enc[q]) {
+        Ok(decoded) => decoded,
+        Err(e) => {
+            out[q] = Err(e);
+            return;
+        }
     };
-    let memo = wb.exits[q]
-        .iter()
-        .find(|&&(r, _)| r == region_code)
-        .map(|&(_, e)| e);
-    match memo {
+    match wb.enc[q].lookup_exit(region) {
         Some(None) => out[q] = Err(RoutingError::LivelockDetected),
         Some(Some((exit, cell, ring_len))) => {
             wb.hops[q] += walk_min(here, exit, ring_len);
             wb.cur[q] = cell;
-            wb.next_active.push(q as u32);
+            wb.next_active.push(query);
         }
         None => wb.tasks.push(ExitTask {
-            query: q as u32,
-            region: region_code,
+            query,
+            region,
             here,
         }),
     }
@@ -793,40 +830,6 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, RngCore, SeedableRng};
-
-    /// The lockstep search must compute `slice.partition_point(< thr)`
-    /// for every lane, including mixed lengths and exhausted lanes.
-    #[test]
-    fn lockstep_search_matches_partition_point() {
-        let mut rng = SmallRng::seed_from_u64(0x51D3);
-        for _ in 0..200 {
-            let mut keys: Vec<i32> = Vec::new();
-            let mut lanes = Vec::new();
-            let mut expect = Vec::new();
-            let lane_count = rng.gen_range(1..=LANES);
-            for q in 0..lane_count {
-                let len = rng.gen_range(1..=40usize);
-                let start = keys.len() as u32;
-                let mut line: Vec<i32> = (0..len).map(|_| rng.gen_range(0..64)).collect();
-                line.sort_unstable();
-                let thr = rng.gen_range(-1..66);
-                expect.push(line.partition_point(|&k| k < thr));
-                keys.extend_from_slice(&line);
-                lanes.push(Staged {
-                    query: q as u32,
-                    start,
-                    n: len as u32,
-                    len: len as u32,
-                    thr,
-                    ..Staged::IDLE
-                });
-            }
-            lockstep_search(&keys, &mut lanes);
-            for (lane, want) in lanes.iter().zip(expect) {
-                assert_eq!(lane.base as usize, want, "thr {} lane {:?}", lane.thr, lane);
-            }
-        }
-    }
 
     #[test]
     fn lane_min_reductions_match_scalar_folds() {

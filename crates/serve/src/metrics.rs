@@ -125,12 +125,13 @@ pub struct Metrics {
     pub wal_append_ns: LatencyHistogram,
     /// WAL fsync time, nanoseconds — the dominant durability cost.
     pub wal_fsync_ns: LatencyHistogram,
-    /// Router/index build time of published snapshots, segment-CSR phase,
-    /// nanoseconds (one sample per publish, warm and cold alike).
+    /// Router/index build time of published snapshots, segment-table phase
+    /// (line scans, key/hit arenas, next-blocked tables), nanoseconds (one
+    /// sample per publish, warm and cold alike).
     pub index_build_segment_ns: LatencyHistogram,
     /// Build time, ring construction + per-ring index phase, nanoseconds.
     pub index_build_ring_ns: LatencyHistogram,
-    /// Build time, wide SoA table phase, nanoseconds.
+    /// Build time, packed ring-word phase, nanoseconds.
     pub index_build_wide_ns: LatencyHistogram,
     /// Build time, exit-directory phase, nanoseconds.
     pub index_build_exit_ns: LatencyHistogram,
@@ -235,12 +236,13 @@ pub struct StatsReport {
     /// WAL fsync-time percentiles, nanoseconds.
     pub wal_fsync_ns: Percentiles,
     /// Router/index build-time percentiles per phase, nanoseconds, one
-    /// sample per published snapshot (warm and cold): segment CSR, ring
-    /// indexes, wide tables, exit directory, and whole-build wall clock.
+    /// sample per published snapshot (warm and cold): segment table, ring
+    /// indexes, packed ring words, exit directory, and whole-build wall
+    /// clock.
     pub index_build_segment_ns: Percentiles,
     /// Ring-phase build percentiles, nanoseconds.
     pub index_build_ring_ns: Percentiles,
-    /// Wide-table-phase build percentiles, nanoseconds.
+    /// Packed-ring-word-phase build percentiles, nanoseconds.
     pub index_build_wide_ns: Percentiles,
     /// Exit-directory-phase build percentiles, nanoseconds.
     pub index_build_exit_ns: Percentiles,
@@ -477,7 +479,9 @@ pub fn prometheus_text(stats: &StatsReport) -> String {
     let _ = writeln!(
         out,
         "# HELP ocp_serve_index_build_seconds Router/index build time per phase, seconds \
-         (one sample per published snapshot)."
+         (one sample per published snapshot): segment = line scans, key/hit arenas and \
+         next-blocked tables; ring = rings and ring indexes; wide = packed ring words; \
+         exit = exit directory."
     );
     let _ = writeln!(out, "# TYPE ocp_serve_index_build_seconds summary");
     for (phase, p) in [

@@ -378,6 +378,10 @@ fn scrape_counter(page: &str, series: &str) -> u64 {
 fn serve_publish_counters_match_the_epoch_audit_log() {
     use ocp_serve::{CertChaos, MeshService, ServeConfig};
     use std::time::Duration;
+    // The service's writer thread records labeling counters and spans
+    // into the same global registry the other oracle tests diff; the
+    // guard outlives the service, whose drop joins the writer.
+    let _guard = ORACLE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
 
     // Every third batch is chaos-rejected at the certificate gate, so the
     // scrape page has something in every `result` bucket to account for.
