@@ -1,9 +1,9 @@
 //! B9: the indexed query path — `route_len` cost of the single-lane
 //! segment-jump traversal against the per-hop reference.
 //!
-//! B10: the wide (SIMD-lane) batch engine — `route_len_batch_with` at
-//! several batch widths over the same machine and workload, the data
-//! path behind the serve `route_len_batch` endpoint.
+//! B10: the batch entry point — `route_len_batch_with` over 64-pair
+//! chunks of the same machine and workload, the data path behind the
+//! serve `route_len_batch` endpoint.
 //!
 //! B11: `route_disjoint` — the k-disjoint max-flow path against the
 //! single-route traversal it builds on, at k in {1, 2, 3}. k=1 rides the
@@ -81,30 +81,27 @@ fn route_query(c: &mut Criterion) {
 fn route_query_wide(c: &mut Criterion) {
     let mut group = c.benchmark_group("route_query_wide");
     group.sample_size(20);
-    // Same machine and workload shape as B9, a larger pair set so every
-    // batch width gets full batches.
+    // Same machine and workload shape as B9, over four full batches.
     let router = build_router(48, 230, 0xB9);
     let queries = query_pairs(&router, 256, 29);
 
-    for width in [16usize, 64, 256] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("batch{width}")),
-            &queries,
-            |b, queries| {
-                // Persistent scratch and results vector across batches,
-                // as a serve worker's handle reuses them across
-                // successive `route_len_batch` requests.
-                let mut scratch = RouteScratch::new();
-                let mut out = Vec::new();
-                b.iter(|| {
-                    for chunk in queries.chunks(width) {
-                        router.route_len_batch_with(chunk, &mut scratch, &mut out);
-                        black_box(&out);
-                    }
-                });
-            },
-        );
-    }
+    group.bench_with_input(
+        BenchmarkId::from_parameter("batch64"),
+        &queries,
+        |b, queries| {
+            // Persistent scratch and results vector across batches, as a
+            // serve worker's handle reuses them across successive
+            // `route_len_batch` requests.
+            let mut scratch = RouteScratch::new();
+            let mut out = Vec::new();
+            b.iter(|| {
+                for chunk in queries.chunks(64) {
+                    router.route_len_batch_with(chunk, &mut scratch, &mut out);
+                    black_box(&out);
+                }
+            });
+        },
+    );
     group.finish();
 }
 

@@ -333,7 +333,7 @@ fn run_routeperf(args: &Args) {
         flagship.side, flagship.side, flagship.density, flagship.speedup
     );
     // The acceptance bar applies to the full shape (256² / 10% clustered):
-    // the wide engine at batch=64 must deliver >= 7x the reference
+    // the batch path at batch=64 must deliver >= 7x the reference
     // traversal's throughput (measured ~9.2x on the baseline machine;
     // EXPERIMENTS.md E20 documents the measured ceiling).
     if args.settings.side >= 100 && flagship.speedup < 7.0 {
@@ -368,7 +368,7 @@ fn run_routeperf_smoke(args: &Args) {
         "smoke wide-batch64 speedup {:.2}x below the 3x smoke bar",
         flagship.speedup
     );
-    println!("routeperf smoke: wide engine clears the 3x smoke bar");
+    println!("routeperf smoke: batch path clears the 3x smoke bar");
 }
 
 fn run_rebuild(args: &Args) {

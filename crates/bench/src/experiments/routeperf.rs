@@ -1,7 +1,6 @@
 //! E17: the indexed query path payoff — `route_len` throughput of the
 //! segment-jump/indexed-ring router against the per-hop reference
-//! traversal, across mesh sizes, clustered-fault densities, and batch
-//! sizes.
+//! traversal, across mesh sizes and clustered-fault densities.
 //!
 //! All engines are pinned byte-identical by the routing equivalence
 //! suite, so this experiment measures pure query cost. Three tiers:
@@ -12,10 +11,11 @@
 //!   single-lane traversal jumps whole segments with one next-blocked
 //!   load, decodes ring entries from packed hit words, and resolves exits
 //!   through the O(1) exit directory;
-//! * **wide-batchN** is the SIMD-lane batch engine behind the serve
-//!   `route_len_batch` endpoint: whole batches move through the same
-//!   cache-line-packed tables together (experiment E20 documents the
-//!   layout).
+//! * **wide-batch64** is the batch entry point behind the serve
+//!   `route_len_batch` endpoint (`route_len_batch_with` over 64-pair
+//!   chunks with one persistent scratch): the same traversal per pair,
+//!   measured through the serving loop's call shape. It is the flagship
+//!   row the ≥ 7× bar reads (experiment E20 documents the table layout).
 //!
 //! The one-off cost the index shifts to publication time is reported
 //! alongside as the *cold baseline*: a from-scratch
@@ -91,6 +91,8 @@ pub struct RouteperfReport {
 }
 
 const REFERENCE: &str = "reference";
+/// Pairs per `route_len_batch_with` call in the batch row.
+const BATCH: usize = 64;
 
 #[derive(Clone, Copy)]
 enum Engine {
@@ -99,10 +101,9 @@ enum Engine {
     /// The single-lane traversal through the public singleton path
     /// (`route_len`, thread-local scratch).
     Indexed,
-    /// The wide SIMD-lane batch engine (`route_len_batch_with`) at this
-    /// batch width — the serve `route_len_batch` endpoint's actual data
-    /// path, byte-identical to the single-lane traversal.
-    WideBatch(usize),
+    /// The batch entry point (`route_len_batch_with`) over [`BATCH`]-pair
+    /// chunks — the serve `route_len_batch` endpoint's actual data path.
+    WideBatch,
 }
 
 impl Engine {
@@ -110,26 +111,20 @@ impl Engine {
         match self {
             Engine::Reference => REFERENCE.into(),
             Engine::Indexed => "indexed".into(),
-            Engine::WideBatch(n) => format!("wide-batch{n}"),
+            Engine::WideBatch => format!("wide-batch{BATCH}"),
         }
     }
 
     fn batch(self) -> usize {
         match self {
             Engine::Reference | Engine::Indexed => 1,
-            Engine::WideBatch(n) => n,
+            Engine::WideBatch => BATCH,
         }
     }
 }
 
 fn engines() -> Vec<Engine> {
-    vec![
-        Engine::Reference,
-        Engine::Indexed,
-        Engine::WideBatch(16),
-        Engine::WideBatch(64),
-        Engine::WideBatch(256),
-    ]
+    vec![Engine::Reference, Engine::Indexed, Engine::WideBatch]
 }
 
 /// Experiment shape: (sides, queries per pass). CI/quick keeps machines
@@ -162,13 +157,13 @@ fn pass_ns(router: &FaultTolerantRouter, pairs: &[(Coord, Coord)], engine: Engin
                 let _ = black_box(router.route_len(s, d));
             }
         }
-        Engine::WideBatch(n) => {
-            // The wide engine with one persistent scratch and results
-            // vector — exactly how a long-lived serve worker's handle
-            // answers successive `route_len_batch` requests.
+        Engine::WideBatch => {
+            // One persistent scratch and results vector — exactly how a
+            // long-lived serve worker's handle answers successive
+            // `route_len_batch` requests.
             let mut scratch = RouteScratch::new();
             let mut out = Vec::new();
-            for chunk in pairs.chunks(n) {
+            for chunk in pairs.chunks(BATCH) {
                 router.route_len_batch_with(chunk, &mut scratch, &mut out);
                 black_box(&out);
             }
@@ -291,8 +286,8 @@ pub fn build_table(report: &RouteperfReport) -> Table {
     t
 }
 
-/// The flagship speedup: the wide engine at batch=64 vs reference at the
-/// largest (side, density) cell measured. The full run's acceptance bar
+/// The flagship speedup: the batch entry point at batch=64 vs reference
+/// at the largest (side, density) cell measured. The full run's acceptance bar
 /// checks this against 7x at 256² / 10%; the smoke run checks a relaxed
 /// bar on the quick shape.
 pub fn flagship_speedup(report: &RouteperfReport) -> Option<&RouteperfRow> {
@@ -314,8 +309,8 @@ mod tests {
     #[test]
     fn quick_sweep_shows_indexed_wins() {
         let report = run(&Settings::quick());
-        // 2 sides x 3 densities x 5 engines.
-        assert_eq!(report.rows.len(), 30);
+        // 2 sides x 3 densities x 3 engines.
+        assert_eq!(report.rows.len(), 18);
         assert_eq!(report.build.len(), 6);
         for r in &report.rows {
             assert!(r.ns_per_query > 0.0);

@@ -63,9 +63,9 @@ impl ConvergenceError {
         Self::round_cap_from_trace(cap, &outcome.trace)
     }
 
-    /// Builds a round-cap error from an executed [`RunTrace`] — for engines
-    /// outside this crate that honor the same lockstep round semantics
-    /// (e.g. the bit-packed labeling kernels in `ocp-core`).
+    /// Builds a round-cap error from an executed [`crate::RunTrace`] — for
+    /// engines outside this crate that honor the same lockstep round
+    /// semantics (e.g. the bit-packed labeling kernels in `ocp-core`).
     pub fn round_cap_from_trace(cap: u32, trace: &crate::RunTrace) -> Self {
         ConvergenceError {
             label: String::new(),

@@ -19,10 +19,9 @@
 //!   candidates — with precomputed feasibility masks — instead of the
 //!   whole perimeter.
 //! * [`RouteScratch`] — reusable traversal state (livelock guard, exit
-//!   memo, batch staging) so `route_len` performs no heap allocation
-//!   after warm-up.
+//!   memo) so `route_len` performs no heap allocation after warm-up.
 //!
-//! Correctness contract: the traversals in [`crate::wide`] must be
+//! Correctness contract: the traversal in [`crate::wide`] must be
 //! *byte-identical* to the reference per-hop traversal (same paths, same
 //! hop counts, same errors); `crates/routing/tests/equivalence.rs`
 //! enforces this property on random mesh and torus fault maps.
@@ -444,11 +443,8 @@ impl RouteIndex {
 /// `route_len_with`.
 #[derive(Debug, Default)]
 pub struct RouteScratch {
-    /// Livelock guard and exit memo of the single-lane traversal.
+    /// Livelock guard and exit memo of the traversal.
     pub(crate) enc: crate::wide::Encounters,
-    /// SoA staging buffers for the batch engine
-    /// (`FaultTolerantRouter::route_len_batch`).
-    pub(crate) wide: crate::wide::WideBuffers,
 }
 
 impl RouteScratch {

@@ -1,9 +1,9 @@
 //! Cache-packed per-snapshot tables behind the router's query engine.
 //!
-//! The traversals in [`crate::wide`] — single-lane and batched — stream
-//! these flat 64-byte-aligned arenas, so a query touches the minimum
-//! number of cache lines and resolves the traversal's dependent lookups
-//! with precomputed single loads:
+//! The traversal in [`crate::wide`] streams these flat 64-byte-aligned
+//! arenas, so a query touches the minimum number of cache lines and
+//! resolves the traversal's dependent lookups with precomputed single
+//! loads:
 //!
 //! * [`WideSegments`] — the segment table: per-row and per-column sorted
 //!   disabled coordinates as structure-of-arrays columns (keys in one
@@ -14,9 +14,7 @@
 //!   hit word's location — with a single `u64` load.
 //! * [`WideRings`] — each ring's exit candidates packed one-per-`u64`
 //!   (`x | y << 15 | mask << 30 | pos << 34`), all rings in a single
-//!   arena with each candidate block cache-line aligned. A batch's exit
-//!   tasks are sorted by region, so consecutive tasks re-stream the same
-//!   block while it is still resident.
+//!   arena with each candidate block cache-line aligned.
 //! * [`ExitDirectory`] — O(1) precomputed best exits (cell and cycle
 //!   position in one word) for destinations strictly outside a ring's
 //!   bounding box, replacing the candidate scan in the common case.
@@ -593,7 +591,7 @@ impl WideSegments {
     /// ordered East, West, North, South. Probe `(dir, c)`'s entry lives
     /// at `next_base[dir] + (row-major c)` for x-lines and
     /// `next_base[dir] + (column-major c)` for y-lines; exposing the
-    /// offsets lets the batch scheduler form that address from a
+    /// offsets lets the traversal form that address from a
     /// computed direction index without re-branching on the direction.
     /// Valid only when [`Self::have_next`].
     #[inline(always)]

@@ -24,11 +24,9 @@
 //!   cost scales with fault encounters, not path length, plus the
 //!   reusable [`RouteScratch`] that makes `route_len` allocation-free.
 //! * `layout` / `wide` (crate-internal) — the query engine: the
-//!   cache-line-aligned tables every query reads, the single-lane
-//!   traversal behind `route` / `route_len`, and the batch scheduler
-//!   behind `FaultTolerantRouter::route_len_batch` (struct-of-arrays
-//!   rounds that move a whole batch through the tables together), both
-//!   sharing one probe, hit-word decode and exit computation, and both
+//!   cache-line-aligned tables every query reads and the single-lane
+//!   traversal behind every query entry point (`route`, `route_len`, and
+//!   `FaultTolerantRouter::route_len_batch_with` one pair at a time),
 //!   byte-identical to the per-hop reference.
 //! * [`incremental`] — delta-driven epoch builds: `rebuild_from` patches
 //!   the previous epoch's tables (untouched segment lines copied,

@@ -43,9 +43,8 @@ thread_local! {
 /// Construction also builds the query indexes (the segment table, per-ring
 /// exit candidates and the exit directory, see [`crate::index`]) so that
 /// per-query cost is proportional to the number of fault encounters rather
-/// than to path length. Every query entry point runs one of the two
-/// shapes of the engine in [`crate::wide`] over those tables: the
-/// single-lane traversal or the batch scheduler. The pre-index per-hop
+/// than to path length. Every query entry point runs the single-lane
+/// traversal in [`crate::wide`] over those tables. The pre-index per-hop
 /// algorithm is preserved as the oracle
 /// [`route_reference`](FaultTolerantRouter::route_reference) /
 /// [`route_len_reference`](FaultTolerantRouter::route_len_reference); the
@@ -268,30 +267,23 @@ impl FaultTolerantRouter {
         crate::wide::traverse(self, src, dst, None, &mut scratch.enc)
     }
 
-    /// Batched [`route_len`](FaultTolerantRouter::route_len) through the
-    /// batch scheduler: the whole batch moves through the snapshot index
-    /// in struct-of-arrays rounds (see [`crate::wide`]), streaming each
-    /// packed index table once per round instead of once per query.
-    /// Returns one result per pair, in pair order, each *byte-identical*
-    /// to calling `route_len` on that pair — the equivalence suite pins
-    /// batch == single-lane == reference.
-    pub fn route_len_batch(&self, pairs: &[(Coord, Coord)]) -> Vec<Result<usize, RoutingError>> {
-        let mut out = Vec::new();
-        SCRATCH.with(|s| self.route_len_batch_with(pairs, &mut s.borrow_mut(), &mut out));
-        out
-    }
-
-    /// [`route_len_batch`](FaultTolerantRouter::route_len_batch) with a
-    /// caller-owned scratch and output buffer: the zero-allocation form
-    /// for serving loops. `out` is cleared and refilled with one result
-    /// per pair.
+    /// Hop counts of many pairs, with a caller-owned scratch and output
+    /// buffer: the zero-allocation batch form for serving loops. `out` is
+    /// cleared and refilled with one result per pair, in pair order, each
+    /// exactly [`route_len_with`](FaultTolerantRouter::route_len_with) on
+    /// that pair.
     pub fn route_len_batch_with(
         &self,
         pairs: &[(Coord, Coord)],
         scratch: &mut RouteScratch,
         out: &mut Vec<Result<usize, RoutingError>>,
     ) {
-        crate::wide::route_len_batch_wide(self, pairs, scratch, out);
+        out.clear();
+        out.extend(
+            pairs
+                .iter()
+                .map(|&(src, dst)| crate::wide::traverse(self, src, dst, None, &mut scratch.enc)),
+        );
     }
 
     /// Up to `k` pairwise vertex-disjoint routes `src → dst` (disjoint

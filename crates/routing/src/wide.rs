@@ -1,17 +1,13 @@
-//! The router's query engine over the per-snapshot wide tables, in two
-//! shapes that share every table access:
+//! The router's query engine over the per-snapshot wide tables: the
+//! single-lane [`traverse`] behind every query entry point — `route`,
+//! `route_len`, `route_into`, `route_len_with`, `route_len_batch_with`
+//! (one traversal per pair) and the primary path of `route_disjoint`. One
+//! query runs to completion as a plain loop, and cells are pushed only
+//! when a path is requested.
 //!
-//! * [`traverse`] — the single-lane traversal behind `route`,
-//!   `route_len`, `route_into`, `route_len_with` and the primary path of
-//!   `route_disjoint`: one query runs to completion as a plain loop, and
-//!   cells are pushed only when a path is requested.
-//! * [`route_len_batch_wide`] — the batch scheduler behind
-//!   `FaultTolerantRouter::route_len_batch`, which moves a whole batch of
-//!   queries through the tables in struct-of-arrays lanes.
-//!
-//! Both aim with `preferred_direction` unrolled into branch-free selects
-//! (a computed direction index replaces a mispredict-prone branch per
-//! probe) and share three pieces:
+//! The loop aims with `preferred_direction` unrolled into branch-free
+//! selects (a computed direction index replaces a mispredict-prone branch
+//! per probe) and is built from three pieces:
 //!
 //! 1. **Probe** — on snapshots with next-blocked tables (see
 //!    [`crate::layout::WideSegments`], all but degenerate geometries) a
@@ -20,7 +16,7 @@
 //!    seams baked in at build) and the arena index of the blocking cell's
 //!    packed hit word. Otherwise a probe is the partition point of the
 //!    walked line's sorted keys, resolved by [`resolve_blocked`]. Both
-//!    shapes call the one [`probe`].
+//!    forms sit behind the one [`probe`].
 //! 2. **Hit-word decode** — [`decode_hit`] turns a blocked probe's packed
 //!    hit word into the fault-encounter bookkeeping (chain rejection,
 //!    livelock guard, entry cycle position) without chasing dependent
@@ -32,10 +28,9 @@
 //!    candidate blocks from [`crate::layout::WideRings`] as a branch-free
 //!    `reject << 31 | dist << 16 | pos` minimum in [`U32x8`] lanes (u64
 //!    lanes via [`U64x4`] over the ring's candidate columns for
-//!    non-compact rings). The batch sorts its exit tasks by region, so
-//!    consecutive tasks re-stream the same block.
+//!    non-compact rings).
 //!
-//! **Exactness contract**: both shapes are byte-identical to the per-hop
+//! **Exactness contract**: the traversal is byte-identical to the per-hop
 //! reference traversal (`route_reference`) — same paths, hop counts and
 //! errors. Each query performs the reference's checks in the same order
 //! on the same values; the next-blocked word and hit word are built from
@@ -45,7 +40,7 @@
 //! where the scan's argmin is position-invariant. `tests/equivalence.rs`
 //! enforces this on random mesh/torus maps.
 
-use crate::index::{RouteScratch, NO_REGION};
+use crate::index::NO_REGION;
 use crate::layout::{WideSegments, ENTRY_CHAIN, ENTRY_UNPACKED};
 use crate::path::RoutingError;
 use crate::router::FaultTolerantRouter;
@@ -113,36 +108,6 @@ impl U64x4 {
     }
 }
 
-/// One unmemoized fault encounter awaiting an exit scan.
-#[derive(Clone, Copy, Debug)]
-struct ExitTask {
-    query: u32,
-    region: u32,
-    /// The query's cycle position on the ring (entry point).
-    here: u32,
-}
-
-/// Reusable SoA staging buffers for the batch scheduler, embedded in
-/// [`RouteScratch`]. Cleared (not freed) per batch, so a warmed-up
-/// `route_len_batch` performs no heap allocation.
-#[derive(Debug, Default)]
-pub(crate) struct WideBuffers {
-    /// Current cell per query.
-    cur: Vec<Coord>,
-    /// Destination per query.
-    dst: Vec<Coord>,
-    /// Links traversed so far per query.
-    hops: Vec<usize>,
-    /// Queries still traversing this round.
-    active: Vec<u32>,
-    /// Queries surviving into the next round.
-    next_active: Vec<u32>,
-    /// Exit scans pending this round (sorted by region before running).
-    tasks: Vec<ExitTask>,
-    /// Per-query livelock guard and exit memo.
-    enc: Vec<Encounters>,
-}
-
 /// A resolved exit: `(cycle position, exit cell, ring length)`, enough to
 /// re-apply the ring walk without loading the ring.
 pub(crate) type Exit = (u32, Coord, u32);
@@ -206,25 +171,6 @@ pub(crate) fn decode_exit_word(word: u64) -> (u32, Coord) {
         (word >> 32) as u32,
         Coord::new((word & 0x7FFF) as i32, ((word >> 15) & 0x7FFF) as i32),
     )
-}
-
-impl WideBuffers {
-    /// Readies the buffers for a batch of `n` queries.
-    fn reset(&mut self, n: usize) {
-        self.cur.clear();
-        self.cur.resize(n, Coord::new(0, 0));
-        self.dst.clear();
-        self.dst.resize(n, Coord::new(0, 0));
-        self.hops.clear();
-        self.hops.resize(n, 0);
-        self.active.clear();
-        for enc in self.enc.iter_mut().take(n) {
-            enc.clear();
-        }
-        if self.enc.len() < n {
-            self.enc.resize_with(n, Encounters::default);
-        }
-    }
 }
 
 /// Resolves a probe from a partition point: hops to the first disabled
@@ -341,7 +287,7 @@ pub(crate) fn probe_search(
     resolve_blocked(keys, &segments.hits()[line], pp, pos, steps, t, dir)
 }
 
-/// The probe shared by [`traverse`] and the batch scheduler:
+/// The probe [`traverse`] runs at every aim:
 /// [`probe_next`] where the snapshot has next-blocked tables, else
 /// [`probe_search`].
 #[inline(always)]
@@ -688,141 +634,6 @@ pub(crate) fn traverse(
         cur = cell;
     }
     Ok(hops)
-}
-
-/// The batch scheduler. Writes one result per pair into `out`, in pair
-/// order, each byte-identical to [`traverse`] on that pair. Each round
-/// advances every still-active query by one step — aim, probe, advance,
-/// hit-word decode — then runs the round's unmemoized exits sorted by
-/// region.
-pub(crate) fn route_len_batch_wide(
-    router: &FaultTolerantRouter,
-    pairs: &[(Coord, Coord)],
-    scratch: &mut RouteScratch,
-    out: &mut Vec<Result<usize, RoutingError>>,
-) {
-    let t = router.topology();
-    let cap = (t.len() * 4).max(64);
-    out.clear();
-    out.resize(pairs.len(), Ok(0));
-    let wb = &mut scratch.wide;
-    wb.reset(pairs.len());
-
-    for (i, &(src, dst)) in pairs.iter().enumerate() {
-        // Endpoint checks in the reference order: src first, then dst.
-        if let Some(&node) = [src, dst].iter().find(|&&e| !router.enabled.is_enabled(e)) {
-            out[i] = Err(RoutingError::EndpointDisabled { node });
-            continue;
-        }
-        wb.cur[i] = src;
-        wb.dst[i] = dst;
-        wb.active.push(i as u32);
-    }
-
-    let segments = &router.index.segments;
-
-    while !wb.active.is_empty() {
-        wb.next_active.clear();
-        wb.tasks.clear();
-
-        // Aim → probe → advance, fused per query, through the same probe
-        // as [`traverse`].
-        for ai in 0..wb.active.len() {
-            let q = wb.active[ai] as usize;
-            let (cur, dst) = (wb.cur[q], wb.dst[q]);
-            if cur == dst {
-                out[q] = Ok(wb.hops[q]);
-                continue;
-            }
-            if wb.hops[q] + 1 > cap {
-                out[q] = Err(RoutingError::LivelockDetected);
-                continue;
-            }
-            let (dir_idx, steps) = aim(t, cur, dst);
-            let hit = probe(segments, t, cur, dir_idx, steps);
-            apply_probe(router, t, cap, wb, out, q as u32, dir_idx, steps, hit);
-        }
-
-        // Exit scans, bucketed by region so consecutive tasks stream the
-        // same packed candidate block (or directory lines).
-        wb.tasks.sort_unstable_by_key(|task| task.region);
-        for ti in 0..wb.tasks.len() {
-            let ExitTask {
-                query,
-                region,
-                here,
-            } = wb.tasks[ti];
-            let q = query as usize;
-            let exit = compute_exit(router, t, region as usize, wb.dst[q]);
-            wb.enc[q].store_exit(region, exit);
-            match exit {
-                None => out[q] = Err(RoutingError::LivelockDetected),
-                Some((e, cell, ring_len)) => {
-                    wb.hops[q] += walk_min(here, e, ring_len);
-                    wb.cur[q] = cell;
-                    wb.next_active.push(query);
-                }
-            }
-        }
-
-        std::mem::swap(&mut wb.active, &mut wb.next_active);
-    }
-}
-
-/// Applies one resolved probe to its query — exactly [`traverse`]'s check
-/// order: the cap checks, the segment jump, then the shared
-/// [`decode_hit`] and the exit memo. Memo hits re-apply the walk from the
-/// memoized [`Exit`]; unmemoized encounters join `wb.tasks` for the exit
-/// phase.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn apply_probe(
-    router: &FaultTolerantRouter,
-    t: Topology,
-    cap: usize,
-    wb: &mut WideBuffers,
-    out: &mut [Result<usize, RoutingError>],
-    query: u32,
-    dir_idx: usize,
-    steps: i32,
-    hit: Option<(i32, u64)>,
-) {
-    let q = query as usize;
-    let advance = hit.map_or(steps, |(d, _)| d - 1) as usize;
-    if wb.hops[q] + advance > cap {
-        out[q] = Err(RoutingError::LivelockDetected);
-        return;
-    }
-    wb.cur[q] = advance_by(t, wb.cur[q], DIRS[dir_idx], advance);
-    wb.hops[q] += advance;
-    let Some((_, word)) = hit else {
-        wb.next_active.push(query);
-        return;
-    };
-    if wb.hops[q] + 1 > cap {
-        out[q] = Err(RoutingError::LivelockDetected);
-        return;
-    }
-    let (region, here) = match decode_hit(router, word, dir_idx, wb.cur[q], &mut wb.enc[q]) {
-        Ok(decoded) => decoded,
-        Err(e) => {
-            out[q] = Err(e);
-            return;
-        }
-    };
-    match wb.enc[q].lookup_exit(region) {
-        Some(None) => out[q] = Err(RoutingError::LivelockDetected),
-        Some(Some((exit, cell, ring_len))) => {
-            wb.hops[q] += walk_min(here, exit, ring_len);
-            wb.cur[q] = cell;
-            wb.next_active.push(query);
-        }
-        None => wb.tasks.push(ExitTask {
-            query,
-            region,
-            here,
-        }),
-    }
 }
 
 #[cfg(test)]

@@ -8,10 +8,10 @@
 //! fault chains) and on tori (including seam-crossing segments and rings).
 //! Anything less would change what `ocp-serve` returns across a release.
 //!
-//! The wide batch engine (`route_len_batch` / `route_len_batch_with`) is
-//! pinned to the same contract: every result in a batch must equal the
-//! scalar indexed *and* reference result for that pair, for every batch
-//! size — including partial final lanes (batch % lane width ≠ 0),
+//! The batch entry point (`route_len_batch_with`) is pinned to the same
+//! contract: every result in a batch must equal the single-pair
+//! `route_len_with` *and* reference result for that pair, for every batch
+//! size — including a partial final chunk (pairs % width ≠ 0),
 //! single-pair batches, and batches mixing every outcome class.
 
 use ocp_core::prelude::*;
@@ -74,10 +74,10 @@ fn assert_pair_equivalent(
     }
 }
 
-/// Asserts the wide batch engine agrees with the scalar indexed path and
-/// the reference on every pair of `pairs`, splitting the workload into
-/// batches of `width` (the final batch is usually partial, exercising
-/// `batch % LANES != 0` lane tails).
+/// Asserts the batch entry point agrees with single-pair `route_len_with`
+/// and the reference on every pair of `pairs`, splitting the workload
+/// into batches of `width` (the final batch is usually shorter than
+/// `width`).
 fn assert_batches_equivalent(
     router: &FaultTolerantRouter,
     pairs: &[(Coord, Coord)],
@@ -177,12 +177,11 @@ fn batch_handles_multi_ring_cells() {
 }
 
 /// A machine too wide for the next-blocked probe tables (extent ≥ 2^16,
-/// so blocked distances would not pack): the wide engine must fall back
-/// to the search kernels — `count_below` on the short column lines and
-/// the lockstep lane search on the long rows, whose interval tables here
-/// exceed the count-kernel cutoff. Equivalence on straight, detouring,
-/// multi-encounter, and infeasible-endpoint pairs, at widths exercising
-/// partial lockstep blocks.
+/// so blocked distances would not pack): every probe must fall back to
+/// the sorted-key search — on the short column lines and on the long
+/// faulty row, which carries 100 disabled cells. Equivalence on
+/// straight, detouring, multi-encounter, and infeasible-endpoint pairs,
+/// at several batch widths.
 #[test]
 fn batch_falls_back_to_search_kernels_on_wide_mesh() {
     let c = Coord::new;

@@ -90,6 +90,27 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
+    /// Admits the longest prefix of `items` that fits and rejects the
+    /// rest (all of them when closed); returns how many were admitted.
+    /// One lock acquisition and one wake-up for the whole prefix, so the
+    /// consumer never sees part of it: one request's events reach the
+    /// writer together.
+    pub(crate) fn push_prefix(&self, items: impl IntoIterator<Item = T>) -> usize {
+        let mut state = self.inner.state.lock().expect("queue lock");
+        if state.closed {
+            return 0;
+        }
+        let before = state.queue.len();
+        let room = self.inner.capacity.saturating_sub(before);
+        state.queue.extend(items.into_iter().take(room));
+        let admitted = state.queue.len() - before;
+        drop(state);
+        if admitted > 0 {
+            self.inner.ready.notify_one();
+        }
+        admitted
+    }
+
     /// Blocks until an event is available or the queue is closed *and*
     /// drained; `None` means no event will ever arrive again.
     pub fn recv(&self) -> Option<T> {
@@ -206,6 +227,21 @@ mod tests {
         assert_eq!(drained, 5);
         assert_eq!(batch, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(q.len(), 4);
+    }
+
+    #[test]
+    fn push_prefix_admits_what_fits_in_one_step() {
+        let q = BoundedQueue::new(4);
+        q.try_push(0).unwrap();
+        assert_eq!(q.push_prefix(1..=5), 3);
+        let first = q.recv().unwrap();
+        let mut batch = vec![first];
+        q.drain_up_to(8, &mut batch);
+        assert_eq!(batch, vec![0, 1, 2, 3]);
+        assert_eq!(q.push_prefix(Vec::<u32>::new()), 0);
+        q.close();
+        assert_eq!(q.push_prefix([7]), 0);
+        assert_eq!(q.recv(), None);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::api::{
     RouteLenOutcome, RouteLenReply, RouteOutcome, RouteReply, StatusReply,
 };
 use crate::metrics::{prometheus_text, Metrics, ObsReport, StatsReport};
-use crate::queue::{BoundedQueue, PushError};
+use crate::queue::BoundedQueue;
 use crate::snapshot::{EventBatch, Snapshot};
 use crate::wal::{Wal, WalRecord};
 use ocp_core::certificate::{outcome_digest, EpochCertificate};
@@ -864,16 +864,15 @@ impl ServiceHandle {
     }
 
     /// Many hop counts against **one** snapshot: the batched read fast
-    /// path. The snapshot is refreshed once and the whole batch runs
-    /// through the router's wide (SIMD-lane) batch engine with the
-    /// handle's persistent scratch — SoA staging buffers and results
-    /// vector are reused across batches, so a warmed-up handle performs
-    /// no per-query allocation. The reply carries a single epoch tag,
-    /// and metrics are amortized: one staleness sample, one mean-latency
-    /// sample, and one `batch_width` sample for the whole batch.
-    /// Outcomes are field-equal to sequential singleton
-    /// [`route_len`](ServiceHandle::route_len) calls against the same
-    /// snapshot (the wide engine is byte-identical to the scalar path).
+    /// path. The snapshot is refreshed once and each pair runs through
+    /// the router's traversal with the handle's persistent scratch — the
+    /// scratch and results vector are reused across batches, so a
+    /// warmed-up handle performs no per-query allocation. The reply
+    /// carries a single epoch tag, and metrics are amortized: one
+    /// staleness sample, one mean-latency sample, and one `batch_width`
+    /// sample for the whole batch. Outcomes are field-equal to sequential
+    /// singleton [`route_len`](ServiceHandle::route_len) calls against
+    /// the same snapshot.
     pub fn route_len_batch(&mut self, pairs: &[(Coord, Coord)]) -> RouteLenBatchReply {
         let start = Instant::now();
         self.refresh();
@@ -937,19 +936,17 @@ impl ServiceHandle {
         self.inject(nodes.iter().map(|&c| Event::Repair(c)))
     }
 
-    fn inject(&self, events: impl Iterator<Item = Event>) -> InjectReply {
+    fn inject(&self, events: impl ExactSizeIterator<Item = Event>) -> InjectReply {
         let epoch_at_enqueue = self.epoch();
-        let mut accepted = 0usize;
-        let mut rejected = 0usize;
-        for event in events {
-            match self.shared.queue.try_push(event) {
-                Ok(()) => {
-                    accepted += 1;
-                    self.shared.events_enqueued.fetch_add(1, Ordering::Release);
-                }
-                Err(PushError::Overloaded) | Err(PushError::Closed) => rejected += 1,
-            }
-        }
+        let requested = events.len();
+        // One admission step for the whole request, so the writer cannot
+        // pick up its first event before the rest and split it into two
+        // epochs.
+        let accepted = self.shared.queue.push_prefix(events);
+        let rejected = requested - accepted;
+        self.shared
+            .events_enqueued
+            .fetch_add(accepted as u64, Ordering::Release);
         self.shared
             .metrics
             .events_accepted
@@ -1327,6 +1324,11 @@ mod tests {
 
     #[test]
     fn batches_coalesce_into_few_epochs() {
+        // A request's events are admitted in one step, so the writer drains
+        // each 12-node request whole and publishes it as exactly one epoch.
+        // A split would depend on thread timing, so the request repeats,
+        // alternately faulting and repairing the same nodes.
+        const ROUNDS: u64 = 4000;
         let service = MeshService::start(
             Topology::mesh(20, 20),
             [],
@@ -1338,19 +1340,24 @@ mod tests {
         .unwrap();
         let h = service.handle();
         let nodes: Vec<Coord> = (0..12).map(|i| c(1 + i, 1 + i)).collect();
-        let ack = h.inject_faults(&nodes);
-        assert_eq!(ack.accepted, 12);
-        assert!(service.quiesce(Duration::from_secs(30)));
-        let stats = h.stats();
-        assert_eq!(stats.events_applied, 12);
-        // 12 events never need 12 epochs: the writer coalesces.
-        assert!(
-            stats.epochs_published <= 12,
-            "published {} epochs",
-            stats.epochs_published
-        );
+        for round in 0..ROUNDS {
+            let ack = if round % 2 == 0 {
+                h.inject_faults(&nodes)
+            } else {
+                h.repair_nodes(&nodes)
+            };
+            assert_eq!(ack.accepted, 12);
+            assert!(service.quiesce(Duration::from_secs(30)));
+            let stats = h.stats();
+            assert_eq!(stats.events_applied, 12 * (round + 1));
+            assert_eq!(
+                stats.epochs_published,
+                round + 1,
+                "request {round} published as more than one epoch"
+            );
+        }
         let report = service.shutdown();
-        assert_eq!(report.events_applied, 12);
+        assert_eq!(report.events_applied, 12 * ROUNDS);
     }
 
     #[test]
