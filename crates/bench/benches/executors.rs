@@ -1,8 +1,9 @@
-//! B3: the three executors compared on the same labeling problem.
+//! B3: the executors on the same labeling problem.
 //!
-//! Sequential measures the pure per-node work; sharded adds real threads
-//! with halo exchange over channels (HPC rendering); the actor executor
-//! pays one thread per node and is only run on a small machine.
+//! Sequential measures the pure per-node work on a medium machine; the
+//! actor executor pays one thread per node and is only run on a small
+//! one, next to the sequential reference. (The frontier executor is in
+//! B8.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ocp_core::labeling::safety::{compute_safety, SafetyRule};
@@ -21,17 +22,16 @@ fn executors_on_medium_mesh(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(5);
     let faults = uniform_faults(topology, 96, &mut rng);
     let map = FaultMap::new(topology, faults);
-    let execs = [
-        ("sequential", Executor::Sequential),
-        ("sharded2", Executor::Sharded { threads: 2 }),
-        ("sharded4", Executor::Sharded { threads: 4 }),
-        ("sharded8", Executor::Sharded { threads: 8 }),
-    ];
-    for (name, exec) in execs {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &exec, |b, &exec| {
-            b.iter(|| black_box(compute_safety(&map, SafetyRule::BothDimensions, exec, 400)));
+    group.bench_function("sequential", |b| {
+        b.iter(|| {
+            black_box(compute_safety(
+                &map,
+                SafetyRule::BothDimensions,
+                Executor::Sequential,
+                400,
+            ))
         });
-    }
+    });
     group.finish();
 }
 

@@ -3,8 +3,7 @@
 //! protocol performs, without thread overhead).
 //!
 //! B8: the labeling engines compared on one fixed problem — sequential,
-//! frontier worklist, sharded threads, and the bit-packed kernels (single
-//! and tiled multi-threaded).
+//! frontier worklist, and the bit-packed kernel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ocp_core::prelude::*;
@@ -83,12 +82,7 @@ fn label_engines_compared(c: &mut Criterion) {
     for (name, engine) in [
         ("sequential", LabelEngine::Lockstep(Executor::Sequential)),
         ("frontier", LabelEngine::Lockstep(Executor::Frontier)),
-        (
-            "sharded4",
-            LabelEngine::Lockstep(Executor::Sharded { threads: 4 }),
-        ),
-        ("bitboard1", LabelEngine::Bitboard { threads: 1 }),
-        ("bitboard4", LabelEngine::Bitboard { threads: 4 }),
+        ("bitboard1", LabelEngine::Bitboard),
     ] {
         group.bench_function(name, |b| {
             b.iter(|| {

@@ -54,20 +54,12 @@ pub struct ObsReport {
     pub spans_recorded: usize,
 }
 
-fn engines() -> Vec<(&'static str, LabelEngine)> {
-    vec![
-        (
-            "lockstep-sequential",
-            LabelEngine::Lockstep(Executor::Sequential),
-        ),
-        (
-            "lockstep-frontier",
-            LabelEngine::Lockstep(Executor::Frontier),
-        ),
-        ("bitboard-1", LabelEngine::Bitboard { threads: 1 }),
-        ("bitboard-4", LabelEngine::Bitboard { threads: 4 }),
-    ]
-}
+/// The engines; rows are named by [`LabelEngine::label`].
+const ENGINES: [LabelEngine; 3] = [
+    LabelEngine::Lockstep(Executor::Sequential),
+    LabelEngine::Lockstep(Executor::Frontier),
+    LabelEngine::Bitboard,
+];
 
 fn sides(settings: &Settings) -> Vec<u32> {
     if settings.side < 100 {
@@ -101,7 +93,6 @@ pub fn run(settings: &Settings) -> ObsReport {
     let was_enabled = ocp_obs::enabled();
     let densities = [0.001f64, 0.01];
     let trials = settings.trials.clamp(3, 5) as usize;
-    let engines = engines();
     let mut rows = Vec::new();
     let spans_before = ocp_obs::tracer().snapshot().len();
 
@@ -118,25 +109,25 @@ pub fn run(settings: &Settings) -> ObsReport {
                 })
                 .collect();
 
-            for (name, engine) in &engines {
+            for engine in ENGINES {
                 // Untimed warm-up: pays the one-time cost of metric-family
                 // creation and first-touch caches outside the measurement.
                 ocp_obs::set_enabled(true);
-                labeling_ms(&maps[0], *engine, cap);
+                labeling_ms(&maps[0], engine, cap);
                 let mut off_samples = Vec::with_capacity(trials);
                 let mut on_samples = Vec::with_capacity(trials);
                 for map in &maps {
                     ocp_obs::set_enabled(false);
-                    off_samples.push(labeling_ms(map, *engine, cap));
+                    off_samples.push(labeling_ms(map, engine, cap));
                     ocp_obs::set_enabled(true);
-                    on_samples.push(labeling_ms(map, *engine, cap));
+                    on_samples.push(labeling_ms(map, engine, cap));
                 }
                 let off_ms = best_of(&off_samples);
                 let on_ms = best_of(&on_samples);
                 rows.push(ObsRow {
                     side,
                     density,
-                    engine: name.to_string(),
+                    engine: engine.label().to_string(),
                     off_ms,
                     on_ms,
                     overhead_pct: (on_ms - off_ms) / off_ms * 100.0,
@@ -302,7 +293,7 @@ mod tests {
             ..Settings::quick()
         };
         let report = run(&settings);
-        let expected = sides(&settings).len() * 2 * engines().len();
+        let expected = sides(&settings).len() * 2 * ENGINES.len();
         assert_eq!(report.rows.len(), expected);
         for row in &report.rows {
             assert!(row.off_ms > 0.0 && row.on_ms > 0.0, "{row:?}");

@@ -63,23 +63,12 @@ pub struct ScalingReport {
     pub relabel: Vec<RelabelRow>,
 }
 
-const BASELINE: &str = "lockstep-sequential";
-
-fn engines() -> Vec<(&'static str, LabelEngine)> {
-    vec![
-        (BASELINE, LabelEngine::Lockstep(Executor::Sequential)),
-        (
-            "lockstep-frontier",
-            LabelEngine::Lockstep(Executor::Frontier),
-        ),
-        (
-            "lockstep-sharded4",
-            LabelEngine::Lockstep(Executor::Sharded { threads: 4 }),
-        ),
-        ("bitboard-1", LabelEngine::Bitboard { threads: 1 }),
-        ("bitboard-4", LabelEngine::Bitboard { threads: 4 }),
-    ]
-}
+/// The engines, baseline first; rows are named by [`LabelEngine::label`].
+const ENGINES: [LabelEngine; 3] = [
+    LabelEngine::Lockstep(Executor::Sequential),
+    LabelEngine::Lockstep(Executor::Frontier),
+    LabelEngine::Bitboard,
+];
 
 fn sides(settings: &Settings) -> Vec<u32> {
     if settings.side < 100 {
@@ -98,7 +87,6 @@ fn median_of(samples: &mut [f64]) -> f64 {
 pub fn run(settings: &Settings) -> ScalingReport {
     let densities = [0.001f64, 0.01];
     let trials = settings.trials.clamp(3, 5) as usize;
-    let engines = engines();
     let mut labeling = Vec::new();
     let mut relabel = Vec::new();
 
@@ -127,7 +115,7 @@ pub fn run(settings: &Settings) -> ScalingReport {
                     run_pipeline(
                         map,
                         &PipelineConfig {
-                            engine: LabelEngine::bitboard(),
+                            engine: LabelEngine::Bitboard,
                             ..PipelineConfig::default()
                         },
                     )
@@ -136,19 +124,19 @@ pub fn run(settings: &Settings) -> ScalingReport {
 
             let mut baseline_label_ms = f64::NAN;
             let mut baseline_relabel_ms = f64::NAN;
-            for (name, engine) in &engines {
+            for engine in ENGINES {
                 let mut label_samples = Vec::with_capacity(trials);
                 let mut relabel_samples = Vec::with_capacity(trials);
                 for trial in 0..trials {
                     let map = &maps[trial];
                     let start = Instant::now();
-                    let safety = compute_safety_with(map, SafetyRule::BothDimensions, *engine, cap);
-                    let enable = compute_enablement_with(map, &safety.grid, *engine, cap);
+                    let safety = compute_safety_with(map, SafetyRule::BothDimensions, engine, cap);
+                    let enable = compute_enablement_with(map, &safety.grid, engine, cap);
                     label_samples.push(start.elapsed().as_secs_f64() * 1e3);
                     assert!(safety.trace.converged && enable.trace.converged);
 
                     let cfg = PipelineConfig {
-                        engine: *engine,
+                        engine,
                         ..PipelineConfig::default()
                     };
                     let start = Instant::now();
@@ -160,21 +148,21 @@ pub fn run(settings: &Settings) -> ScalingReport {
                 }
                 let label_ms = median_of(&mut label_samples);
                 let relabel_ms = median_of(&mut relabel_samples);
-                if *name == BASELINE {
+                if engine == ENGINES[0] {
                     baseline_label_ms = label_ms;
                     baseline_relabel_ms = relabel_ms;
                 }
                 labeling.push(ScalingRow {
                     side,
                     density,
-                    engine: name.to_string(),
+                    engine: engine.label().to_string(),
                     median_ms: label_ms,
                     speedup: baseline_label_ms / label_ms,
                 });
                 relabel.push(RelabelRow {
                     side,
                     density,
-                    engine: name.to_string(),
+                    engine: engine.label().to_string(),
                     median_ms: relabel_ms,
                     speedup: baseline_relabel_ms / relabel_ms,
                 });
@@ -225,7 +213,7 @@ mod tests {
             ..Settings::quick()
         };
         let report = run(&settings);
-        let expected = sides(&settings).len() * 2 * engines().len();
+        let expected = sides(&settings).len() * 2 * ENGINES.len();
         assert_eq!(report.labeling.len(), expected);
         assert_eq!(report.relabel.len(), expected);
         for row in &report.labeling {

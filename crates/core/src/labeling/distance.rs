@@ -238,7 +238,7 @@ mod tests {
         let map = FaultMap::new(t, [c(3, 3), c(10, 10), c(4, 4)]);
         let out = run_pipeline(&map, &PipelineConfig::default());
         let seq = compute_distance_field(&map, &out.activation, Executor::Sequential, 1000);
-        for exec in [Executor::Sharded { threads: 3 }, Executor::Actor] {
+        for exec in [Executor::Frontier, Executor::Actor] {
             let got = compute_distance_field(&map, &out.activation, exec, 1000);
             assert_eq!(got.grid, seq.grid, "{exec:?}");
             assert_eq!(got.trace, seq.trace, "{exec:?}");

@@ -166,8 +166,8 @@ pub fn compute_enablement_with(
         crate::labeling::LabelEngine::Lockstep(executor) => {
             compute_enablement(map, safety, executor, max_rounds)
         }
-        crate::labeling::LabelEngine::Bitboard { threads } => {
-            crate::labeling::bits::compute_enablement_bits(map, safety, threads, max_rounds)
+        crate::labeling::LabelEngine::Bitboard => {
+            crate::labeling::bits::compute_enablement_bits(map, safety, max_rounds)
         }
     };
     crate::telemetry::record_phase("enablement", engine, &out.trace, timer);
@@ -186,8 +186,8 @@ pub fn try_compute_enablement_with(
         crate::labeling::LabelEngine::Lockstep(executor) => {
             try_compute_enablement(map, safety, executor, max_rounds)
         }
-        crate::labeling::LabelEngine::Bitboard { threads } => {
-            crate::labeling::bits::try_compute_enablement_bits(map, safety, threads, max_rounds)
+        crate::labeling::LabelEngine::Bitboard => {
+            crate::labeling::bits::try_compute_enablement_bits(map, safety, max_rounds)
         }
     }?;
     crate::telemetry::record_phase("enablement", engine, &out.trace, timer);

@@ -26,13 +26,9 @@ pub enum LabelEngine {
     /// (the paper-faithful message-passing renderings).
     Lockstep(Executor),
     /// Protocol-specific word-parallel bit-packed kernels with a row-level
-    /// frontier ([`bits`]); `threads > 1` adds row-band tiling with halo
-    /// exchange. Orders of magnitude faster on large sparse-fault meshes.
-    Bitboard {
-        /// Worker threads for the tiled kernel (clamped to the mesh
-        /// height); `1` runs the single-threaded row-frontier kernel.
-        threads: usize,
-    },
+    /// frontier ([`bits`]), single-threaded. Orders of magnitude faster on
+    /// large sparse-fault meshes; the serving writer's engine.
+    Bitboard,
 }
 
 impl Default for LabelEngine {
@@ -49,22 +45,16 @@ impl From<Executor> for LabelEngine {
 }
 
 impl LabelEngine {
-    /// The fastest known configuration for serving workloads (E15): the
-    /// single-threaded bitboard kernel — per-round work is so small after
-    /// bit packing that cross-thread halo synchronization only pays off
-    /// beyond the mesh sizes the service typically labels.
-    pub fn bitboard() -> Self {
-        LabelEngine::Bitboard { threads: 1 }
-    }
-
     /// Stable lowercase identifier, used as the `engine` label on every
     /// metric the labeling phases export and as the engine name in the
     /// `repro` experiment sweeps (e.g. `lockstep-sequential`,
-    /// `lockstep-sharded4`, `bitboard-1`).
-    pub fn label(&self) -> String {
+    /// `lockstep-frontier`, `bitboard`).
+    pub fn label(&self) -> &'static str {
         match self {
-            LabelEngine::Lockstep(executor) => format!("lockstep-{}", executor.label()),
-            LabelEngine::Bitboard { threads } => format!("bitboard-{threads}"),
+            LabelEngine::Lockstep(Executor::Sequential) => "lockstep-sequential",
+            LabelEngine::Lockstep(Executor::Frontier) => "lockstep-frontier",
+            LabelEngine::Lockstep(Executor::Actor) => "lockstep-actor",
+            LabelEngine::Bitboard => "bitboard",
         }
     }
 }
@@ -105,7 +95,7 @@ mod tests {
         let (first, rest) = faults.split_at(f / 2);
         let map = FaultMap::new(t, faults.iter().copied());
         let old_cap = 2 * (t.width() + t.height()) + 8;
-        for engine in [LabelEngine::default(), LabelEngine::bitboard()] {
+        for engine in [LabelEngine::default(), LabelEngine::Bitboard] {
             let config = PipelineConfig {
                 engine,
                 ..PipelineConfig::default()
@@ -119,7 +109,7 @@ mod tests {
         // A warm start onto the same final map converges too (on the
         // serving engine; the engines are trace-identical).
         let config = PipelineConfig {
-            engine: LabelEngine::bitboard(),
+            engine: LabelEngine::Bitboard,
             ..PipelineConfig::default()
         };
         let half = FaultMap::new(t, first.iter().copied());

@@ -171,8 +171,8 @@ pub fn compute_safety_with(
         crate::labeling::LabelEngine::Lockstep(executor) => {
             compute_safety(map, rule, executor, max_rounds)
         }
-        crate::labeling::LabelEngine::Bitboard { threads } => {
-            crate::labeling::bits::compute_safety_bits(map, rule, None, threads, max_rounds)
+        crate::labeling::LabelEngine::Bitboard => {
+            crate::labeling::bits::compute_safety_bits(map, rule, None, max_rounds)
         }
     };
     crate::telemetry::record_phase("safety", engine, &out.trace, timer);
@@ -191,8 +191,8 @@ pub fn try_compute_safety_with(
         crate::labeling::LabelEngine::Lockstep(executor) => {
             try_compute_safety(map, rule, executor, max_rounds)
         }
-        crate::labeling::LabelEngine::Bitboard { threads } => {
-            crate::labeling::bits::try_compute_safety_bits(map, rule, None, threads, max_rounds)
+        crate::labeling::LabelEngine::Bitboard => {
+            crate::labeling::bits::try_compute_safety_bits(map, rule, None, max_rounds)
         }
     }?;
     crate::telemetry::record_phase("safety", engine, &out.trace, timer);

@@ -157,11 +157,10 @@ pub fn try_relabel_after_faults(
                 trace: out.trace,
             }
         }
-        LabelEngine::Bitboard { threads } => crate::labeling::bits::try_compute_safety_bits(
+        LabelEngine::Bitboard => crate::labeling::bits::try_compute_safety_bits(
             &updated,
             config.rule,
             Some(&previous.safety),
-            threads,
             cap,
         )
         .map_err(|e| e.with_label("warm-started phase-1 safety relabeling"))?,

@@ -40,7 +40,7 @@ pub(crate) fn record_phase(
     let Some(start) = timer.0 else { return };
     let elapsed = start.elapsed();
     let engine_label = engine.label();
-    let labels: &[(&str, &str)] = &[("engine", &engine_label), ("phase", phase)];
+    let labels: &[(&str, &str)] = &[("engine", engine_label), ("phase", phase)];
     let reg = ocp_obs::global();
     reg.counter(
         "ocp_labeling_runs_total",
@@ -82,7 +82,7 @@ pub(crate) fn record_phase(
     .record(as_nanos(elapsed));
     ocp_obs::tracer()
         .span_at(&format!("labeling/{phase}"), start)
-        .field("engine", &engine_label)
+        .field("engine", engine_label)
         .field("rounds", trace.rounds_executed())
         .field("flips", trace.total_changes())
         .field("converged", trace.converged)
@@ -93,7 +93,7 @@ pub(crate) fn record_phase(
 pub(crate) fn record_pipeline(engine: LabelEngine, outcome: &PipelineOutcome, timer: PhaseTimer) {
     let Some(start) = timer.0 else { return };
     let engine_label = engine.label();
-    let labels: &[(&str, &str)] = &[("engine", &engine_label)];
+    let labels: &[(&str, &str)] = &[("engine", engine_label)];
     let reg = ocp_obs::global();
     reg.counter(
         "ocp_pipeline_runs_total",
@@ -109,7 +109,7 @@ pub(crate) fn record_pipeline(engine: LabelEngine, outcome: &PipelineOutcome, ti
     .record(as_nanos(start.elapsed()));
     ocp_obs::tracer()
         .span_at("pipeline", start)
-        .field("engine", &engine_label)
+        .field("engine", engine_label)
         .field("blocks", outcome.blocks.len())
         .field("regions", outcome.regions.len())
         .field("safety_rounds", outcome.safety_trace.rounds_executed())

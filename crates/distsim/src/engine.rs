@@ -15,27 +15,20 @@ pub enum Executor {
     /// `O(|frontier|)` instead of `O(N)` per round once activity
     /// localizes.
     Frontier,
-    /// Domain decomposition into horizontal strips; one OS thread per strip,
-    /// halo rows exchanged over crossbeam channels every round.
-    Sharded {
-        /// Number of strips/threads (clamped to the mesh height).
-        threads: usize,
-    },
     /// One OS thread per node, one channel per link — the literal
     /// message-passing reading of the paper. Only sensible for small
-    /// machines; [`run`] refuses topologies above 4096 nodes.
+    /// machines; above 4096 nodes [`run`] falls back to `Frontier`.
     Actor,
 }
 
 impl Executor {
     /// Stable lowercase identifier, used as the `executor` label on every
-    /// metric the engine exports (e.g. `sequential`, `sharded4`).
-    pub fn label(&self) -> String {
+    /// metric the engine exports (e.g. `sequential`, `frontier`).
+    pub fn label(&self) -> &'static str {
         match self {
-            Executor::Sequential => "sequential".to_string(),
-            Executor::Frontier => "frontier".to_string(),
-            Executor::Sharded { threads } => format!("sharded{threads}"),
-            Executor::Actor => "actor".to_string(),
+            Executor::Sequential => "sequential",
+            Executor::Frontier => "frontier",
+            Executor::Actor => "actor",
         }
     }
 }
@@ -85,13 +78,10 @@ pub(crate) const MAX_ACTOR_NODES: usize = 4096;
 /// assert!(out.states.iter().all(|(_, &s)| s == 1));
 /// ```
 ///
-/// # Panics
-/// Panics if `Executor::Sharded { threads: 0 }` is requested.
-///
-/// `Executor::Actor` on a machine larger than 4096 nodes no longer panics:
-/// it falls back to the sharded executor (one thread per available core)
-/// and records the substitution in [`RunTrace::notes`] — the outcome is
-/// identical because all executors agree on deterministic protocols.
+/// `Executor::Actor` on a machine larger than 4096 nodes does not panic:
+/// it falls back to the frontier executor and records the substitution in
+/// [`RunTrace::notes`] — the outcome is identical because all executors
+/// agree on deterministic protocols.
 pub fn run<P: LockstepProtocol>(
     protocol: &P,
     executor: Executor,
@@ -100,7 +90,7 @@ pub fn run<P: LockstepProtocol>(
     let timer = ocp_obs::enabled().then(std::time::Instant::now);
     let out = run_inner(protocol, executor, max_rounds);
     if let Some(start) = timer {
-        crate::telemetry::record_run(&executor.label(), &out.trace, start.elapsed());
+        crate::telemetry::record_run(executor.label(), &out.trace, start.elapsed());
     }
     out
 }
@@ -113,20 +103,13 @@ fn run_inner<P: LockstepProtocol>(
     match executor {
         Executor::Sequential => crate::sequential::run(protocol, max_rounds),
         Executor::Frontier => crate::frontier::run(protocol, max_rounds),
-        Executor::Sharded { threads } => {
-            assert!(threads > 0, "sharded executor needs at least one thread");
-            crate::sharded::run(protocol, threads, max_rounds)
-        }
         Executor::Actor => {
             let nodes = protocol.topology().len();
             if nodes > MAX_ACTOR_NODES {
-                let threads = std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(4);
-                let mut out = crate::sharded::run(protocol, threads, max_rounds);
+                let mut out = crate::frontier::run(protocol, max_rounds);
                 out.trace.notes.push(format!(
                     "actor executor refused {nodes} nodes (cap {MAX_ACTOR_NODES}); \
-                     fell back to the sharded executor with {threads} threads"
+                     fell back to the frontier executor"
                 ));
                 out
             } else {
@@ -265,16 +248,16 @@ mod tests {
     }
 
     #[test]
-    fn oversized_actor_falls_back_to_sharded() {
+    fn oversized_actor_falls_back_to_frontier() {
         // 70x70 = 4900 nodes: above the actor cap. Must not panic, must
-        // produce the sequential fixpoint, and must say what it did.
+        // reproduce the sequential run exactly, and must say what it did.
         let p = MaxFlood(Topology::mesh(70, 70));
         let reference = run(&p, Executor::Sequential, 400);
-        let out = run(&p, Executor::Actor, 400);
+        let mut out = run(&p, Executor::Actor, 400);
         assert!(out.trace.converged);
         assert_eq!(out.trace.notes.len(), 1);
         assert!(
-            out.trace.notes[0].contains("fell back"),
+            out.trace.notes[0].contains("fell back to the frontier executor"),
             "{:?}",
             out.trace.notes
         );
@@ -283,6 +266,9 @@ mod tests {
             .iter()
             .zip(reference.states.iter())
             .all(|((_, a), (_, b))| a == b));
+        // Apart from the note, the trace is the sequential one.
+        out.trace.notes.clear();
+        assert_eq!(out.trace, reference.trace);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! A protocol is described once, as a [`LockstepProtocol`] — per-node initial
 //! state, the ghost-node state for mesh boundaries, and a transition function
 //! from the four collected neighbor states. The engine then runs it to
-//! quiescence on one of four interchangeable executors:
+//! quiescence on one of three interchangeable executors:
 //!
 //! * [`Executor::Sequential`] — deterministic double-buffered reference
 //!   executor; the semantics every other executor must reproduce.
@@ -22,17 +22,12 @@
 //!   seed round 1 via [`LockstepProtocol::initial_frontier`]). Identical
 //!   states and traces to `Sequential`, much faster once activity
 //!   localizes around fault clusters.
-//! * [`Executor::Sharded`] — real threads: the mesh is decomposed into
-//!   horizontal strips, one thread per strip, and each round the strips
-//!   exchange *halo rows* over crossbeam channels before stepping their
-//!   nodes; a coordinator reduces per-strip change counts to detect global
-//!   quiescence. This is the classic HPC domain-decomposition rendering of
-//!   the protocol.
 //! * [`Executor::Actor`] — the most literal rendering of the paper: **one
 //!   thread per node**, with a channel per link; every round each node sends
 //!   its status to its neighbors, receives theirs, and steps. Practical for
-//!   small meshes (tests, demos); the executor-equivalence tests pin all
-//!   three to identical results.
+//!   small meshes (tests, demos); above 4096 nodes [`run`] falls back to
+//!   the frontier executor and says so in [`RunTrace::notes`]. The
+//!   executor-equivalence tests pin all three to identical results.
 //!
 //! Faulty nodes "just cease to work" (Section 2): they are modeled as
 //! non-participating nodes whose state never leaves its initial value —
@@ -66,7 +61,6 @@ mod error;
 mod frontier;
 mod protocol;
 mod sequential;
-mod sharded;
 mod telemetry;
 mod trace;
 

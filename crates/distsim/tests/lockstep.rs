@@ -112,12 +112,7 @@ fn executors_agree_on_mesh_and_torus() {
             seed: Coord::new(7, 5),
         };
         let seq = run(&p, Executor::Sequential, 100);
-        for exec in [
-            Executor::Sharded { threads: 2 },
-            Executor::Sharded { threads: 3 },
-            Executor::Sharded { threads: 64 }, // clamped to height
-            Executor::Actor,
-        ] {
+        for exec in [Executor::Frontier, Executor::Actor] {
             let out: RunOutcome<u32> = run(&p, exec, 100);
             assert_eq!(out.trace, seq.trace, "{exec:?} trace mismatch on {t:?}");
             assert!(out
@@ -134,11 +129,7 @@ fn round_cap_reports_non_convergence() {
     let p = Blinker {
         topology: Topology::mesh(4, 4),
     };
-    for exec in [
-        Executor::Sequential,
-        Executor::Sharded { threads: 2 },
-        Executor::Actor,
-    ] {
+    for exec in [Executor::Sequential, Executor::Frontier, Executor::Actor] {
         let out = run(&p, exec, 5);
         assert!(!out.trace.converged, "{exec:?}");
         assert_eq!(out.trace.rounds_executed(), 5);
@@ -181,11 +172,7 @@ fn single_row_and_column_topologies() {
             topology: t,
             seed: Coord::new(0, 0),
         };
-        for exec in [
-            Executor::Sequential,
-            Executor::Sharded { threads: 4 },
-            Executor::Actor,
-        ] {
+        for exec in [Executor::Sequential, Executor::Frontier, Executor::Actor] {
             let out = run(&p, exec, 100);
             assert!(out.trace.converged, "{exec:?} on {t:?}");
             assert!(out.states.iter().all(|(_, &s)| s == 1_000_000));
@@ -226,11 +213,7 @@ fn non_participating_nodes_freeze() {
         },
         dead: Coord::new(2, 0),
     };
-    for exec in [
-        Executor::Sequential,
-        Executor::Sharded { threads: 2 },
-        Executor::Actor,
-    ] {
+    for exec in [Executor::Sequential, Executor::Frontier, Executor::Actor] {
         let out = run(&p, exec, 100);
         assert!(out.trace.converged);
         // Flood reaches (1,0) but the dead node blocks propagation further.

@@ -126,7 +126,7 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             pipeline: PipelineConfig {
-                engine: LabelEngine::bitboard(),
+                engine: LabelEngine::Bitboard,
                 ..PipelineConfig::default()
             },
             queue_capacity: 1024,

@@ -216,6 +216,23 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_payload_is_a_clean_error() {
+        // 200 KB of nested arrays: far below the frame cap, and deep enough
+        // to overflow the stack of a parser without a nesting limit.
+        let service = MeshService::start(Topology::mesh(4, 4), [], ServeConfig::default()).unwrap();
+        let mut handle = service.handle();
+        let depth = 100_000;
+        let payload = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let reply: Response =
+            serde_json::from_slice(&dispatch_bytes(&mut handle, payload.as_bytes())).unwrap();
+        match reply {
+            Response::Error { message } => assert!(message.contains("nesting"), "{message}"),
+            other => panic!("unexpected response: {other:?}"),
+        }
+        service.shutdown();
+    }
+
+    #[test]
     fn legacy_v1_client_works_against_the_reactor() {
         let service =
             MeshService::start(Topology::mesh(8, 8), [c(3, 3)], ServeConfig::default()).unwrap();

@@ -1,6 +1,6 @@
 //! The protocol as real message-passing processes: one thread per node, one
 //! channel per link — the literal reading of the paper's model — compared
-//! against the sequential and sharded executors on the same problem.
+//! against the sequential and frontier executors on the same problem.
 //!
 //! ```sh
 //! cargo run --example distributed_actors
@@ -28,10 +28,7 @@ fn main() {
 
     let executors: [(&str, Executor); 3] = [
         ("sequential (reference)", Executor::Sequential),
-        (
-            "sharded, 4 threads + halo channels",
-            Executor::Sharded { threads: 4 },
-        ),
+        ("frontier: dirty-set worklist", Executor::Frontier),
         (
             "actor: 256 node threads, 960 link channels",
             Executor::Actor,

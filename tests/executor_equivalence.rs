@@ -31,42 +31,16 @@ fn check_equivalence(topology: Topology, f: usize, seed: u64) {
     let reference_enable =
         compute_enablement(&map, &reference_safety.grid, Executor::Sequential, 400);
 
-    let mut executors = vec![
-        Executor::Frontier,
-        Executor::Sharded { threads: 2 },
-        Executor::Sharded { threads: 3 },
-        Executor::Sharded { threads: 7 },
-        Executor::Sharded { threads: 64 },
-    ];
+    // The bit-packed engine must match too. Every engine is held to the
+    // grids AND the full traces (changes per round, messages, convergence
+    // flag).
+    let mut engines = vec![LabelEngine::Lockstep(Executor::Frontier)];
     if topology.len() <= 4096 {
-        executors.push(Executor::Actor);
+        engines.push(LabelEngine::Lockstep(Executor::Actor));
     }
+    engines.push(LabelEngine::Bitboard);
 
-    for exec in executors {
-        let safety = compute_safety(&map, SafetyRule::BothDimensions, exec, 400);
-        assert_eq!(
-            safety.grid, reference_safety.grid,
-            "{exec:?} safety grid diverged on {topology:?} f={f} seed={seed}"
-        );
-        assert_eq!(
-            safety.trace, reference_safety.trace,
-            "{exec:?} safety trace"
-        );
-        let enable = compute_enablement(&map, &safety.grid, exec, 400);
-        assert_eq!(
-            enable.grid, reference_enable.grid,
-            "{exec:?} activation grid diverged"
-        );
-        assert_eq!(
-            enable.trace, reference_enable.trace,
-            "{exec:?} enable trace"
-        );
-    }
-
-    // The bit-packed engines must match too — grids AND full traces
-    // (changes per round, messages, convergence flag).
-    for threads in [1usize, 2, 5] {
-        let engine = LabelEngine::Bitboard { threads };
+    for engine in engines {
         let safety = compute_safety_with(&map, SafetyRule::BothDimensions, engine, 400);
         assert_eq!(
             safety.grid, reference_safety.grid,
@@ -104,7 +78,8 @@ fn equivalence_on_tori() {
 
 #[test]
 fn equivalence_on_rectangular_machines() {
-    // Non-square shapes exercise the strip partitioner's uneven splits.
+    // Non-square shapes exercise uneven row/column extents and the
+    // bit kernel's partial last word.
     check_equivalence(Topology::mesh(30, 7), 12, 6);
     check_equivalence(Topology::mesh(5, 29), 12, 7);
     check_equivalence(Topology::torus(9, 31), 15, 8);
@@ -292,9 +267,7 @@ fn warm_start_maintenance_is_engine_independent() {
         let engines = [
             LabelEngine::Lockstep(Executor::Sequential),
             LabelEngine::Lockstep(Executor::Frontier),
-            LabelEngine::Lockstep(Executor::Sharded { threads: 3 }),
-            LabelEngine::Bitboard { threads: 1 },
-            LabelEngine::Bitboard { threads: 4 },
+            LabelEngine::Bitboard,
         ];
         let mut reference = None;
         for engine in engines {
@@ -331,8 +304,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// For arbitrary fault maps on meshes and tori, every engine —
-    /// frontier executor and bit-packed kernels at any thread count —
-    /// produces byte-identical grids and identical per-round change
+    /// frontier executor and bit-packed kernels — produces byte-identical grids and identical per-round change
     /// histories for both phases.
     #[test]
     fn engines_match_sequential_on_random_maps(
@@ -341,7 +313,6 @@ proptest! {
         height in 3u32..24,
         torus in any::<bool>(),
         f in 0usize..30,
-        threads in 1usize..6,
     ) {
         let kind = if torus { TopologyKind::Torus } else { TopologyKind::Mesh };
         let topology = Topology::new(kind, width, height);
@@ -355,7 +326,7 @@ proptest! {
 
         for engine in [
             LabelEngine::Lockstep(Executor::Frontier),
-            LabelEngine::Bitboard { threads },
+            LabelEngine::Bitboard,
         ] {
             let safety = compute_safety_with(&map, SafetyRule::BothDimensions, engine, 400);
             prop_assert_eq!(&safety.grid, &ref_safety.grid, "{:?} safety grid", engine);
@@ -384,9 +355,13 @@ fn equivalence_with_def2a_rule() {
         Executor::Sequential,
         400,
     );
-    for exec in [Executor::Sharded { threads: 4 }, Executor::Actor] {
-        let got = compute_safety(&map, SafetyRule::TwoUnsafeNeighbors, exec, 400);
-        assert_eq!(got.grid, reference.grid);
-        assert_eq!(got.trace, reference.trace);
+    for engine in [
+        LabelEngine::Lockstep(Executor::Frontier),
+        LabelEngine::Lockstep(Executor::Actor),
+        LabelEngine::Bitboard,
+    ] {
+        let got = compute_safety_with(&map, SafetyRule::TwoUnsafeNeighbors, engine, 400);
+        assert_eq!(got.grid, reference.grid, "{engine:?}");
+        assert_eq!(got.trace, reference.trace, "{engine:?}");
     }
 }

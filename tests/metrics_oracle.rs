@@ -39,7 +39,7 @@ fn engines() -> Vec<LabelEngine> {
     vec![
         LabelEngine::Lockstep(Executor::Sequential),
         LabelEngine::Lockstep(Executor::Frontier),
-        LabelEngine::Bitboard { threads: 1 },
+        LabelEngine::Bitboard,
     ]
 }
 
@@ -179,7 +179,7 @@ fn cold_runs_export_exact_counters_on_every_engine_and_topology() {
             assert_phase_oracle(
                 &before,
                 &after,
-                &engine.label(),
+                engine.label(),
                 "safety",
                 &safety.trace,
                 safety_flips,
@@ -189,7 +189,7 @@ fn cold_runs_export_exact_counters_on_every_engine_and_topology() {
             assert_phase_oracle(
                 &before,
                 &after,
-                &engine.label(),
+                engine.label(),
                 "enablement",
                 &enable.trace,
                 enable_flips,
@@ -247,7 +247,7 @@ fn warm_start_runs_export_exact_counters_on_every_engine() {
         assert_phase_oracle(
             &before,
             &after,
-            &engine.label(),
+            engine.label(),
             "safety-warm",
             &warm.incremental_safety_trace,
             warm_flips,
@@ -257,7 +257,7 @@ fn warm_start_runs_export_exact_counters_on_every_engine() {
         assert_phase_oracle(
             &before,
             &after,
-            &engine.label(),
+            engine.label(),
             "enablement",
             &warm.outcome.enablement_trace,
             enable_flips,
@@ -269,7 +269,7 @@ fn warm_start_runs_export_exact_counters_on_every_engine() {
         );
         // The warm path must not masquerade as a full pipeline run.
         let engine_label = engine.label();
-        let pipeline_labels: &[(&str, &str)] = &[("engine", &engine_label)];
+        let pipeline_labels: &[(&str, &str)] = &[("engine", engine_label)];
         assert_eq!(
             counter_delta(&before, &after, "ocp_pipeline_runs_total", pipeline_labels),
             0,
@@ -295,7 +295,7 @@ fn pipeline_counters_and_spans_match_the_outcome() {
     let after = ocp_obs::global().snapshot();
 
     let engine_label = engine.label();
-    let labels: &[(&str, &str)] = &[("engine", &engine_label)];
+    let labels: &[(&str, &str)] = &[("engine", engine_label)];
     assert_eq!(
         counter_delta(&before, &after, "ocp_pipeline_runs_total", labels),
         1
@@ -304,7 +304,7 @@ fn pipeline_counters_and_spans_match_the_outcome() {
     // compute_*_with calls feed; one pipeline run adds exactly one run to
     // each phase.
     for phase in ["safety", "enablement"] {
-        let phase_labels: &[(&str, &str)] = &[("engine", &engine_label), ("phase", phase)];
+        let phase_labels: &[(&str, &str)] = &[("engine", engine_label), ("phase", phase)];
         assert_eq!(
             counter_delta(&before, &after, "ocp_labeling_runs_total", phase_labels),
             1,
@@ -452,7 +452,7 @@ fn engines_agree_on_every_oracle_quantity() {
             let engine_label = engine.label();
             let mut sums = (0u64, 0u64, 0u64);
             for phase in ["safety", "enablement"] {
-                let labels: &[(&str, &str)] = &[("engine", &engine_label), ("phase", phase)];
+                let labels: &[(&str, &str)] = &[("engine", engine_label), ("phase", phase)];
                 sums.0 += counter_delta(&before, &after, "ocp_labeling_rounds_total", labels);
                 sums.1 += counter_delta(&before, &after, "ocp_labeling_flips_total", labels);
                 sums.2 += counter_delta(&before, &after, "ocp_labeling_messages_total", labels);

@@ -19,11 +19,11 @@ fn full_stack_at_paper_scale() {
     let faults = uniform_faults(topology, 100, &mut rng);
     let map = FaultMap::new(topology, faults);
 
-    // Labeling with the parallel sharded executor (the HPC path).
+    // Labeling with the frontier executor (the fast lockstep path).
     let out = run_pipeline(
         &map,
         &PipelineConfig {
-            engine: LabelEngine::Lockstep(Executor::Sharded { threads: 8 }),
+            engine: LabelEngine::Lockstep(Executor::Frontier),
             ..PipelineConfig::default()
         },
     );
@@ -38,7 +38,7 @@ fn full_stack_at_paper_scale() {
     let bits = run_pipeline(
         &map,
         &PipelineConfig {
-            engine: LabelEngine::bitboard(),
+            engine: LabelEngine::Bitboard,
             ..PipelineConfig::default()
         },
     );
