@@ -90,7 +90,8 @@ pub struct RouteperfReport {
     pub build: Vec<BuildRow>,
 }
 
-const REFERENCE: &str = "reference";
+/// Engine name of the reference traversal's rows, the speedup baseline.
+pub const REFERENCE: &str = "reference";
 /// Pairs per `route_len_batch_with` call in the batch row.
 const BATCH: usize = 64;
 
@@ -300,39 +301,4 @@ pub fn flagship_speedup(report: &RouteperfReport) -> Option<&RouteperfRow> {
                 .partial_cmp(&(b.side, b.density))
                 .expect("finite densities")
         })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quick_sweep_shows_indexed_wins() {
-        let report = run(&Settings::quick());
-        // 2 sides x 3 densities x 3 engines.
-        assert_eq!(report.rows.len(), 18);
-        assert_eq!(report.build.len(), 6);
-        for r in &report.rows {
-            assert!(r.ns_per_query > 0.0);
-            assert!(r.speedup > 0.0);
-            if r.engine == REFERENCE {
-                assert!((r.speedup - 1.0).abs() < 1e-9);
-            }
-        }
-        // Indexed must beat the reference at every cell, even tiny ones.
-        for r in report.rows.iter().filter(|r| r.engine != REFERENCE) {
-            assert!(
-                r.speedup > 1.0,
-                "{} at {}x{} d={} only reached {:.2}x",
-                r.engine,
-                r.side,
-                r.side,
-                r.density,
-                r.speedup
-            );
-        }
-        let flagship = flagship_speedup(&report).expect("batch64 rows exist");
-        assert_eq!(flagship.side, 48);
-        assert!((flagship.density - 0.10).abs() < 1e-9);
-    }
 }

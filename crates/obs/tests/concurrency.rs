@@ -15,25 +15,8 @@ const OPS_PER_WRITER: u64 = 20_000;
 fn counters_are_monotone_under_contention_and_exact_after_join() {
     let registry = Registry::new();
     let stop = AtomicBool::new(false);
+    let ready = AtomicBool::new(false);
     thread::scope(|scope| {
-        for w in 0..WRITERS {
-            let registry = &registry;
-            scope.spawn(move || {
-                // Each writer does its own get-or-create: the lookup races
-                // are part of what this test exercises.
-                let shared = registry.counter("ocp_test_ops_total", "Shared series.", &[]);
-                let own_label = format!("w{w}");
-                let own = registry.counter(
-                    "ocp_test_ops_total",
-                    "Shared series.",
-                    &[("writer", &own_label)],
-                );
-                for _ in 0..OPS_PER_WRITER {
-                    shared.inc();
-                    own.add(2);
-                }
-            });
-        }
         let reader = scope.spawn(|| {
             let mut last_shared = 0u64;
             let mut last_grand = 0u64;
@@ -59,9 +42,33 @@ fn counters_are_monotone_under_contention_and_exact_after_join() {
                 assert!(grand >= last_grand, "family total went backwards");
                 last_grand = grand;
                 observations += 1;
+                ready.store(true, Ordering::Release);
             }
             observations
         });
+        // The writers start only once the reader is snapshotting: on a
+        // busy machine they could otherwise finish before it first runs.
+        while !ready.load(Ordering::Acquire) && !reader.is_finished() {
+            thread::yield_now();
+        }
+        for w in 0..WRITERS {
+            let registry = &registry;
+            scope.spawn(move || {
+                // Each writer does its own get-or-create: the lookup races
+                // are part of what this test exercises.
+                let shared = registry.counter("ocp_test_ops_total", "Shared series.", &[]);
+                let own_label = format!("w{w}");
+                let own = registry.counter(
+                    "ocp_test_ops_total",
+                    "Shared series.",
+                    &[("writer", &own_label)],
+                );
+                for _ in 0..OPS_PER_WRITER {
+                    shared.inc();
+                    own.add(2);
+                }
+            });
+        }
         // Stop the reader once every writer increment is visible.
         while registry.snapshot().counter("ocp_test_ops_total", &[])
             < WRITERS as u64 * OPS_PER_WRITER
