@@ -7,9 +7,10 @@
 //! across mesh sizes and clustered-fault densities.
 //!
 //! Each cell times the exact component sequence the serve writer runs per
-//! batch — warm `Snapshot::apply`, then (certified mode only) certificate
-//! distill/check and a real WAL append + fsync — on a cold-labeled machine,
-//! one single-fault batch per trial, median over trials. Timing the
+//! batch — block-local `Snapshot::apply`, then (certified mode only) the
+//! windowed certificate distill/check against the certified previous epoch
+//! and a real WAL append + fsync — on a cold-labeled machine, one
+//! single-fault batch per trial, median over trials. Timing the
 //! components directly rather than through `MeshService` keeps scheduler
 //! wakeups and the 1 ms quiesce poll out of the measurement; the
 //! `durability-smoke` gate covers the real end-to-end service path
@@ -21,7 +22,7 @@
 
 use super::Settings;
 use ocp_analysis::Table;
-use ocp_core::certificate::{outcome_digest, EpochCertificate};
+use ocp_core::certificate::{outcome_digest, CertifiedEpoch, EpochCertificate};
 use ocp_core::prelude::*;
 use ocp_mesh::{Coord, Topology};
 use ocp_serve::{EventBatch, MeshService, ServeConfig, Snapshot, Wal, WalRecord};
@@ -104,6 +105,17 @@ fn run_cell(side: u32, density: f64, batches: usize, seed: u64) -> DurabilityRow
     let base = Snapshot::cold(0, FaultMap::new(topology, faults), &pipeline)
         .expect("cold labeling converges");
     let nodes = fresh_nodes(&base, side, batches, &mut rng);
+    // The writer checks each batch by induction from the certified
+    // previous epoch; epoch 0's own full check happens at start-up.
+    let base_cert = EpochCertificate::describe(0, &base.map, &base.outcome);
+    base_cert
+        .check(&base.map, &base.outcome)
+        .expect("epoch-0 certificate validates");
+    let certified = CertifiedEpoch {
+        certificate: &base_cert,
+        map: &base.map,
+        outcome: &base.outcome,
+    };
 
     // A real log on a real filesystem: append/fsync costs are the point.
     let wal_path = tmp(&format!("e18-{side}-{}", (density * 100.0) as u32));
@@ -116,7 +128,7 @@ fn run_cell(side: u32, density: f64, batches: usize, seed: u64) -> DurabilityRow
     let mut wal = Wal::create(&wal_path, &init).expect("create bench WAL");
 
     let mut baseline = Vec::new();
-    let mut certified = Vec::new();
+    let mut durable = Vec::new();
     let mut cert = Vec::new();
     let mut wal_append = Vec::new();
     let mut wal_fsync = Vec::new();
@@ -135,9 +147,11 @@ fn run_cell(side: u32, density: f64, batches: usize, seed: u64) -> DurabilityRow
         let t0 = Instant::now();
         let next = std::hint::black_box(base.apply(&batch, &pipeline)).expect("warm apply");
         let t_cert = Instant::now();
-        let certificate = EpochCertificate::describe(next.epoch, &next.map, &next.outcome);
+        let (faults, repairs) = (&batch.faults, &batch.repairs);
+        let certificate =
+            EpochCertificate::describe_after(certified, faults, repairs, &next.map, &next.outcome);
         certificate
-            .check(&next.map, &next.outcome)
+            .check_after(certified, faults, repairs, &next.map, &next.outcome)
             .expect("publish-time certificate validates");
         cert.push(t_cert.elapsed().as_secs_f64() * 1e3);
         let record = WalRecord::batch(next.epoch, &batch, certificate.grid_digest);
@@ -147,13 +161,13 @@ fn run_cell(side: u32, density: f64, batches: usize, seed: u64) -> DurabilityRow
         let t_sync = Instant::now();
         wal.sync().expect("WAL fsync");
         wal_fsync.push(t_sync.elapsed().as_secs_f64() * 1e3);
-        certified.push(t0.elapsed().as_secs_f64() * 1e3);
+        durable.push(t0.elapsed().as_secs_f64() * 1e3);
         drop(next);
     }
     let _ = std::fs::remove_file(&wal_path);
 
     let baseline_ms = median_of(&mut baseline);
-    let certified_ms = median_of(&mut certified);
+    let certified_ms = median_of(&mut durable);
     DurabilityRow {
         side,
         density,

@@ -244,7 +244,7 @@ pub fn obs_smoke(seed: u64) -> ObsSmokeReport {
 
     // Surface 2: the typed stats-superset report.
     let report = match client.request(&Request::ObsReport) {
-        Ok(Response::Obs(report)) => report,
+        Ok(Response::Obs(report)) => *report,
         other => panic!("unexpected obs response: {other:?}"),
     };
     assert_eq!(report.stats.epochs_published, 1);

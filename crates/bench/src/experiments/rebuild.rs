@@ -1,7 +1,9 @@
 //! E22: incremental epoch builds — `FaultTolerantRouter::rebuild_from`
 //! against the cold constructor it is digest-pinned to, across fault-batch
 //! sizes, mesh sides, and clustered densities, plus the banded parallel
-//! cold build against its single-thread baseline.
+//! cold build against its single-thread baseline. Every fault cell has a
+//! repair twin: the epoch after it, which repairs the whole blob again
+//! (the serve writer patches repair deltas the same way as fault ones).
 //!
 //! Every measured cell re-verifies `table_digest` equality between the
 //! warm and cold routers before its timings are reported, so the speedups
@@ -12,6 +14,7 @@
 use super::Settings;
 use ocp_analysis::Table;
 use ocp_core::prelude::*;
+use ocp_geometry::Region;
 use ocp_mesh::{Coord, Topology};
 use ocp_routing::{EnabledMap, FaultTolerantRouter};
 use ocp_workloads::clustered_faults;
@@ -32,7 +35,10 @@ pub struct RebuildRow {
     pub density: f64,
     /// Faults on the base machine.
     pub faults: usize,
-    /// New fault cells in the applied delta batch.
+    /// `"faults"` (the batch breaks a blob of enabled nodes) or
+    /// `"repairs"` (the next epoch repairs that blob again).
+    pub delta: String,
+    /// Cells in the applied delta batch.
     pub batch: usize,
     /// Median single-thread cold `FaultTolerantRouter::new`, milliseconds.
     pub cold_ms: f64,
@@ -110,6 +116,63 @@ fn correlated_batch(enabled: &EnabledMap, n: usize, rng: &mut SmallRng) -> Vec<C
     blob
 }
 
+/// Timings of one epoch build: the median cold, banded cold and
+/// incremental build, the reuse ratio, and the digest check.
+struct Cell {
+    cold_ms: f64,
+    cold_par_ms: f64,
+    incremental_ms: f64,
+    reuse_ratio: f64,
+    digest_match: bool,
+}
+
+/// Builds the epoch of `(enabled, regions)` incrementally from `prev` and
+/// cold, checks the two digest-identical, and times all three builds.
+/// Returns the incremental router (the next cell's previous epoch).
+fn measure(
+    prev: &FaultTolerantRouter,
+    enabled: &EnabledMap,
+    regions: &[Region],
+    trials: usize,
+    threads: usize,
+) -> (FaultTolerantRouter, Cell) {
+    let (warm, stats) = FaultTolerantRouter::rebuild_from(prev, enabled.clone(), regions);
+    let cold = FaultTolerantRouter::new(enabled.clone(), regions);
+    let digest_match = warm.table_digest() == cold.table_digest();
+    let time = |build: &dyn Fn()| {
+        let mut samples: Vec<f64> = (0..trials)
+            .map(|_| {
+                let start = Instant::now();
+                build();
+                start.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        median_of(&mut samples)
+    };
+    let cell = Cell {
+        cold_ms: time(&|| {
+            black_box(FaultTolerantRouter::new(enabled.clone(), regions));
+        }),
+        cold_par_ms: time(&|| {
+            black_box(FaultTolerantRouter::new_with_threads(
+                enabled.clone(),
+                regions,
+                threads,
+            ));
+        }),
+        incremental_ms: time(&|| {
+            black_box(FaultTolerantRouter::rebuild_from(
+                prev,
+                enabled.clone(),
+                regions,
+            ));
+        }),
+        reuse_ratio: stats.reuse_ratio(),
+        digest_match,
+    };
+    (warm, cell)
+}
+
 /// Runs the rebuild sweep: side x density x delta-batch size.
 pub fn run(settings: &Settings) -> RebuildReport {
     let (sides, batches) = shape(settings);
@@ -137,67 +200,31 @@ pub fn run(settings: &Settings) -> RebuildReport {
                 // currently-enabled cells (the clustered failure model
                 // every serving workload in this suite uses — a dying
                 // switch or power domain takes out a compact blob, not a
-                // uniform scatter), relabeled the way the serve writer's
-                // warm path would.
+                // uniform scatter), then the epoch that repairs it again.
                 let new_faults = correlated_batch(&base_enabled, batch, &mut rng);
-                let mut map = base_map.clone();
-                for &c in &new_faults {
-                    map = map.with_additional_fault(c);
-                }
+                let map = base_map.with_events(&new_faults, &[]);
                 let out = run_pipeline(&map, &PipelineConfig::default());
                 let enabled = EnabledMap::from_outcome(&out);
                 let regions: Vec<_> = out.regions.iter().map(|r| r.cells.clone()).collect();
-
-                let (warm, stats) =
-                    FaultTolerantRouter::rebuild_from(&prev, enabled.clone(), &regions);
-                let cold = FaultTolerantRouter::new(enabled.clone(), &regions);
-                let digest_match = warm.table_digest() == cold.table_digest();
-
-                let mut cold_samples: Vec<f64> = (0..trials)
-                    .map(|_| {
-                        let start = Instant::now();
-                        black_box(FaultTolerantRouter::new(enabled.clone(), &regions));
-                        start.elapsed().as_secs_f64() * 1e3
-                    })
-                    .collect();
-                let mut par_samples: Vec<f64> = (0..trials)
-                    .map(|_| {
-                        let start = Instant::now();
-                        black_box(FaultTolerantRouter::new_with_threads(
-                            enabled.clone(),
-                            &regions,
-                            threads,
-                        ));
-                        start.elapsed().as_secs_f64() * 1e3
-                    })
-                    .collect();
-                let mut inc_samples: Vec<f64> = (0..trials)
-                    .map(|_| {
-                        let start = Instant::now();
-                        black_box(FaultTolerantRouter::rebuild_from(
-                            &prev,
-                            enabled.clone(),
-                            &regions,
-                        ));
-                        start.elapsed().as_secs_f64() * 1e3
-                    })
-                    .collect();
-                let cold_ms = median_of(&mut cold_samples);
-                let cold_par_ms = median_of(&mut par_samples);
-                let incremental_ms = median_of(&mut inc_samples);
-                rows.push(RebuildRow {
-                    side,
-                    density,
-                    faults: f,
-                    batch,
-                    cold_ms,
-                    cold_par_ms,
-                    incremental_ms,
-                    speedup_incremental: cold_ms / incremental_ms,
-                    speedup_parallel: cold_ms / cold_par_ms,
-                    reuse_ratio: stats.reuse_ratio(),
-                    digest_match,
-                });
+                let (broken, fault_cell) = measure(&prev, &enabled, &regions, trials, threads);
+                let (_, repair_cell) =
+                    measure(&broken, &base_enabled, &base_regions, trials, threads);
+                for (delta, cell) in [("faults", fault_cell), ("repairs", repair_cell)] {
+                    rows.push(RebuildRow {
+                        side,
+                        density,
+                        faults: f,
+                        delta: delta.into(),
+                        batch,
+                        speedup_incremental: cell.cold_ms / cell.incremental_ms,
+                        speedup_parallel: cell.cold_ms / cell.cold_par_ms,
+                        cold_ms: cell.cold_ms,
+                        cold_par_ms: cell.cold_par_ms,
+                        incremental_ms: cell.incremental_ms,
+                        reuse_ratio: cell.reuse_ratio,
+                        digest_match: cell.digest_match,
+                    });
+                }
             }
         }
     }
@@ -207,13 +234,14 @@ pub fn run(settings: &Settings) -> RebuildReport {
 /// Renders the sweep as a table.
 pub fn table(report: &RebuildReport) -> Table {
     let mut t = Table::new([
-        "side", "density", "batch", "cold ms", "par ms", "incr ms", "incr x", "par x", "reuse",
-        "digest",
+        "side", "density", "delta", "batch", "cold ms", "par ms", "incr ms", "incr x", "par x",
+        "reuse", "digest",
     ]);
     for r in &report.rows {
         t.push_row([
             format!("{}", r.side),
             format!("{:.2}", r.density),
+            r.delta.clone(),
             format!("{}", r.batch),
             format!("{:.2}", r.cold_ms),
             format!("{:.2}", r.cold_par_ms),
@@ -228,9 +256,10 @@ pub fn table(report: &RebuildReport) -> Table {
 }
 
 /// The flagship cell of the acceptance bar: the largest (side, density)
-/// at the largest batch size ≤ 64.
+/// at the largest fault batch ≤ 64.
 pub fn flagship(report: &RebuildReport) -> Option<&RebuildRow> {
-    report.rows.iter().filter(|r| r.batch <= 64).max_by(|a, b| {
+    let faults = report.rows.iter().filter(|r| r.delta == "faults");
+    faults.filter(|r| r.batch <= 64).max_by(|a, b| {
         (a.side, a.density, a.batch)
             .partial_cmp(&(b.side, b.density, b.batch))
             .expect("finite densities")
@@ -244,8 +273,12 @@ mod tests {
     #[test]
     fn quick_sweep_is_digest_identical_and_reuses() {
         let report = run(&Settings::quick());
-        // 2 sides x 2 densities x 2 batch sizes.
-        assert_eq!(report.rows.len(), 8);
+        // 2 sides x 2 densities x 2 batch sizes x (faults, repairs).
+        assert_eq!(report.rows.len(), 16);
+        assert_eq!(
+            report.rows.iter().filter(|r| r.delta == "repairs").count(),
+            8
+        );
         assert!(report.threads >= 1);
         for r in &report.rows {
             assert!(r.digest_match, "warm != cold at {r:?}");

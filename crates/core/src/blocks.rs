@@ -66,32 +66,39 @@ pub fn extract_blocks(map: &FaultMap, safety: &Grid<SafetyState>) -> Vec<FaultyB
         safety.topology(),
         "safety grid belongs to a different machine"
     );
-    let topology = map.topology();
     connected_components_grid(safety, |&s| s == SafetyState::Unsafe)
         .into_iter()
-        .map(|comp| {
-            let faults: Vec<Coord> = comp
-                .cells
-                .iter()
-                .copied()
-                .filter(|&c| map.is_faulty(c))
-                .collect();
-            // On a mesh the planar embedding is the identity — skip the
-            // seam-unwrapping BFS, which dominates extraction on big blocks.
-            let unwrapped = (topology.kind() == TopologyKind::Torus)
-                .then(|| Region::unwrapped(topology, &comp.cells));
-            let cells = Region::from_cells(comp.cells);
-            let planar = match unwrapped {
-                Some(p) => p, // torus: `None` when the block wraps around
-                None => Some(cells.clone()),
-            };
-            FaultyBlock {
-                planar,
-                cells,
-                faults: Region::from_cells(faults),
-            }
-        })
+        .map(|comp| FaultyBlock::of_component(map, comp.cells))
         .collect()
+}
+
+impl FaultyBlock {
+    /// The block over one unsafe component, given as its sorted
+    /// machine-coordinate cells — the one constructor behind both the
+    /// whole-machine extraction and the dirty-window splice, so the two
+    /// agree field for field.
+    pub(crate) fn of_component(map: &FaultMap, cells: Vec<Coord>) -> Self {
+        let topology = map.topology();
+        let faults: Vec<Coord> = cells
+            .iter()
+            .copied()
+            .filter(|&c| map.is_faulty(c))
+            .collect();
+        // On a mesh the planar embedding is the identity — skip the
+        // seam-unwrapping BFS, which dominates extraction on big blocks.
+        let unwrapped =
+            (topology.kind() == TopologyKind::Torus).then(|| Region::unwrapped(topology, &cells));
+        let cells = Region::from_cells(cells);
+        let planar = match unwrapped {
+            Some(p) => p, // torus: `None` when the block wraps around
+            None => Some(cells.clone()),
+        };
+        FaultyBlock {
+            planar,
+            cells,
+            faults: Region::from_cells(faults),
+        }
+    }
 }
 
 #[cfg(test)]

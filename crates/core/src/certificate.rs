@@ -28,6 +28,7 @@ use crate::pipeline::PipelineOutcome;
 use crate::regions::{extract_regions, DisabledRegion};
 use crate::status::{FaultMap, Health};
 use crate::verify::{VerifyReport, Violation};
+use crate::window::{dirty_windows, DirtyWindows};
 use ocp_geometry::{boundary_cells, closure_spans, corner_nodes, ClosureSpans, Rect, Region};
 use ocp_mesh::{Coord, Topology, TopologyKind};
 use serde::{Deserialize, Serialize};
@@ -208,49 +209,65 @@ impl EpochCertificate {
             fault_count: map.fault_count(),
             grid_digest: outcome_digest(map, outcome),
             required_block_distance: required_block_distance(outcome.rule),
-            blocks: outcome
-                .blocks
-                .iter()
-                .map(|b| {
-                    let bbox = b.bbox();
-                    BlockFact {
-                        cells: b.cells.len(),
-                        faults: b.faults.len(),
-                        bbox,
-                        // Full rectangle iff the planar embedding fills
-                        // its own bounding box — one pass, not two.
-                        rectangle: match (&b.planar, bbox) {
-                            (Some(planar), Some(bbox)) => bbox.area() == planar.len(),
-                            _ => false,
-                        },
-                    }
-                })
-                .collect(),
-            regions: outcome
-                .regions
-                .iter()
-                .map(|r| match (&r.planar, &r.planar_faults) {
-                    (Some(planar), Some(planar_faults)) => {
-                        let profile = PlanarProfile::new(planar);
-                        RegionWitness {
-                            cells: r.cells.len(),
-                            faults: r.faults.len(),
-                            corners: profile.corners_of(planar),
-                            rows: profile.row_intervals(),
-                            closure_cells: closure_spans(planar_faults).len(),
-                            wrapped: false,
-                        }
-                    }
-                    _ => RegionWitness {
-                        cells: r.cells.len(),
-                        faults: r.faults.len(),
-                        rows: Vec::new(),
-                        corners: Vec::new(),
-                        closure_cells: 0,
-                        wrapped: true,
-                    },
-                })
-                .collect(),
+            blocks: outcome.blocks.iter().map(BlockFact::of).collect(),
+            regions: outcome.regions.iter().map(RegionWitness::of).collect(),
+        }
+    }
+
+    /// [`EpochCertificate::describe`] for the epoch after `base`, reusing
+    /// `base`'s facts for every block and region outside the batch's
+    /// dirty windows ([`crate::window::dirty_windows`], re-derived from
+    /// `base` and the batch). Distills only the windows, and equals the
+    /// full describe of a correct outcome: the blocks and regions outside
+    /// are `base`'s, in the same relative order. `grid_digest` still
+    /// covers the whole machine. Windows past a quarter of the machine
+    /// are described in full, as [`EpochCertificate::check_after`] checks
+    /// them.
+    pub fn describe_after(
+        base: CertifiedEpoch<'_>,
+        faults: &[Coord],
+        repairs: &[Coord],
+        map: &FaultMap,
+        outcome: &PipelineOutcome,
+    ) -> Self {
+        let epoch = base.certificate.epoch + 1;
+        let topology = map.topology();
+        let windows = dirty_windows(
+            topology,
+            base.outcome.rule,
+            &base.outcome.blocks,
+            faults,
+            repairs,
+        );
+        if !worth_windowing(&windows, topology) {
+            return Self::describe(epoch, map, outcome);
+        }
+        let inside = |r: &Region| {
+            r.iter()
+                .next()
+                .is_some_and(|c| windows.contains(topology, c))
+        };
+        Self {
+            epoch,
+            rule: outcome.rule,
+            topology,
+            fault_count: map.fault_count(),
+            grid_digest: outcome_digest(map, outcome),
+            required_block_distance: required_block_distance(outcome.rule),
+            blocks: splice_facts(
+                base.outcome.blocks.iter().zip(&base.certificate.blocks),
+                outcome.blocks.iter(),
+                |b| &b.cells,
+                &inside,
+                BlockFact::of,
+            ),
+            regions: splice_facts(
+                base.outcome.regions.iter().zip(&base.certificate.regions),
+                outcome.regions.iter(),
+                |r| &r.cells,
+                &inside,
+                RegionWitness::of,
+            ),
         }
     }
 
@@ -273,45 +290,7 @@ impl EpochCertificate {
         let mut violations = Vec::new();
         let mut report = VerifyReport::default();
         let topology = map.topology();
-
-        if !outcome.safety_trace.converged {
-            violations.push(Violation::NotConverged { phase: "safety" });
-        }
-        if !outcome.enablement_trace.converged {
-            violations.push(Violation::NotConverged {
-                phase: "enablement",
-            });
-        }
-
-        // Identity: is this even the outcome the certificate describes?
-        if self.rule != outcome.rule {
-            violations.push(Violation::CertificateMismatch {
-                what: "safety rule".into(),
-            });
-        }
-        if self.topology != topology {
-            violations.push(Violation::CertificateMismatch {
-                what: "topology".into(),
-            });
-        }
-        if self.fault_count != map.fault_count() {
-            violations.push(Violation::CertificateMismatch {
-                what: "fault count".into(),
-            });
-        }
-        let required = required_block_distance(outcome.rule);
-        if self.required_block_distance != required {
-            violations.push(Violation::CertificateMismatch {
-                what: "required block distance".into(),
-            });
-        }
-        let actual_digest = outcome_digest(map, outcome);
-        if actual_digest != self.grid_digest {
-            violations.push(Violation::DigestMismatch {
-                expected: self.grid_digest,
-                actual: actual_digest,
-            });
-        }
+        let required = self.check_identity(map, outcome, &mut violations);
 
         // Faults must be unsafe and disabled — read from the grids.
         let mut faults_covered = true;
@@ -349,6 +328,55 @@ impl EpochCertificate {
         } else {
             Err(violations)
         }
+    }
+
+    /// The checks that do not depend on the decomposition: convergence,
+    /// the certificate's identity fields, and the whole-machine grid
+    /// digest. Returns the rule's required block distance.
+    fn check_identity(
+        &self,
+        map: &FaultMap,
+        outcome: &PipelineOutcome,
+        violations: &mut Vec<Violation>,
+    ) -> u32 {
+        if !outcome.safety_trace.converged {
+            violations.push(Violation::NotConverged { phase: "safety" });
+        }
+        if !outcome.enablement_trace.converged {
+            violations.push(Violation::NotConverged {
+                phase: "enablement",
+            });
+        }
+        // Identity: is this even the outcome the certificate describes?
+        if self.rule != outcome.rule {
+            violations.push(Violation::CertificateMismatch {
+                what: "safety rule".into(),
+            });
+        }
+        if self.topology != map.topology() {
+            violations.push(Violation::CertificateMismatch {
+                what: "topology".into(),
+            });
+        }
+        if self.fault_count != map.fault_count() {
+            violations.push(Violation::CertificateMismatch {
+                what: "fault count".into(),
+            });
+        }
+        let required = required_block_distance(outcome.rule);
+        if self.required_block_distance != required {
+            violations.push(Violation::CertificateMismatch {
+                what: "required block distance".into(),
+            });
+        }
+        let actual_digest = outcome_digest(map, outcome);
+        if actual_digest != self.grid_digest {
+            violations.push(Violation::DigestMismatch {
+                expected: self.grid_digest,
+                actual: actual_digest,
+            });
+        }
+        required
     }
 
     /// Mesh-path proof that the outcome's declared blocks and regions are
@@ -621,34 +649,6 @@ impl EpochCertificate {
                 what: "blocks differ from the safety grid's unsafe components".into(),
             });
         }
-        // Section 3: blocks are rectangles, pairwise >= required apart.
-        for (i, block) in blocks.iter().enumerate() {
-            match &block.planar {
-                None => report.wrapped_blocks += 1,
-                Some(_) => {
-                    report.blocks_checked += 1;
-                    if !block.is_rectangle() {
-                        violations.push(Violation::BlockNotRectangle { block: i });
-                    }
-                }
-            }
-        }
-        let block_sets: Vec<&Region> = blocks.iter().map(|b| &b.cells).collect();
-        for (i, j, distance) in close_pairs(topology, &block_sets, required) {
-            violations.push(Violation::BlocksTooClose {
-                blocks: (i, j),
-                distance,
-                required,
-            });
-        }
-        // Which block owns each cell (containment + the corollary).
-        let mut owner: Vec<usize> = vec![usize::MAX; topology.len()];
-        for (bi, block) in blocks.iter().enumerate() {
-            for cell in block.cells.iter() {
-                owner[topology.index_of(cell)] = bi;
-            }
-        }
-
         let regions = extract_regions(map, &outcome.activation);
         if verify_consistency
             && !same_components(outcome.regions.iter().map(|r| &r.cells), &regions)
@@ -663,85 +663,187 @@ impl EpochCertificate {
         // publishes two regions closer than the paper allows is caught
         // here even when its grids are merely split differently.
         let declared: Vec<&Region> = outcome.regions.iter().map(|r| &r.cells).collect();
-        for (i, j, distance) in close_pairs(topology, &declared, 2) {
-            violations.push(Violation::RegionsTooClose {
-                regions: (i, j),
-                distance,
+        regions_too_close(topology, &declared, violations);
+        check_components(topology, &blocks, &regions, required, violations, report);
+    }
+
+    /// The windowed counterpart of [`EpochCertificate::check`] for the
+    /// epoch after `base`, which must itself be certified — the induction
+    /// step. The checker re-derives the batch's dirty windows from `base`
+    /// and the batch ([`crate::window::dirty_windows`]), never from the
+    /// labeler, and then proves:
+    ///
+    /// * the identity fields and the whole-machine grid digest, as the
+    ///   full check does, with the epoch one past `base`'s;
+    /// * `map` is `base`'s map plus the batch;
+    /// * outside the windows, the grids equal `base`'s byte for byte, and
+    ///   the declared blocks and regions there are `base`'s, with `base`'s
+    ///   facts, in the same relative order;
+    /// * inside each window, no unsafe node sits on the edge ring (so no
+    ///   block crosses it), the declared blocks and regions are exactly
+    ///   the grids' components there, and every Section 3/4 claim and
+    ///   witness holds for them.
+    ///
+    /// A batch whose windows reach around a torus, or cover more than a
+    /// quarter of the machine, is checked in full.
+    /// Returns every violation found; the report counts the window's
+    /// blocks and regions only.
+    pub fn check_after(
+        &self,
+        base: CertifiedEpoch<'_>,
+        faults: &[Coord],
+        repairs: &[Coord],
+        map: &FaultMap,
+        outcome: &PipelineOutcome,
+    ) -> Result<VerifyReport, Vec<Violation>> {
+        let topology = map.topology();
+        if base.map.topology() != topology
+            || faults.iter().chain(repairs).any(|&c| !topology.contains(c))
+        {
+            return Err(vec![Violation::CertificateMismatch {
+                what: "the batch does not fit the previous epoch's machine".into(),
+            }]);
+        }
+        let windows = dirty_windows(
+            topology,
+            base.outcome.rule,
+            &base.outcome.blocks,
+            faults,
+            repairs,
+        );
+        let (DirtyWindows::Local(list), true) = (&windows, worth_windowing(&windows, topology))
+        else {
+            return self.check(map, outcome);
+        };
+        let mut violations = Vec::new();
+        let mut report = VerifyReport::default();
+        let required = self.check_identity(map, outcome, &mut violations);
+        if self.epoch != base.certificate.epoch + 1 {
+            violations.push(Violation::CertificateMismatch {
+                what: format!(
+                    "epoch {} does not follow the certified epoch {}",
+                    self.epoch, base.certificate.epoch
+                ),
             });
         }
-        // Theorems 1/2 and Lemma 1 per re-extracted region.
-        for (i, region) in regions.iter().enumerate() {
-            match (&region.planar, &region.planar_faults) {
-                (Some(planar), Some(planar_faults)) => {
-                    report.regions_checked += 1;
-                    let profile = PlanarProfile::new(planar);
-                    if !profile.is_convex() {
-                        violations.push(Violation::RegionNotConvex { region: i });
-                    }
-                    for corner in profile.corners_of(planar) {
-                        if !planar_faults.contains(corner) {
-                            violations.push(Violation::CornerNotFaulty { region: i, corner });
-                        }
-                    }
-                    let closure = closure_spans(planar_faults);
-                    if !profile.matches_closure(&closure) {
-                        violations.push(Violation::RegionNotMinimal {
-                            region: i,
-                            sizes: (planar.len(), closure.len()),
-                        });
-                    }
-                }
-                _ => report.wrapped_regions += 1,
-            }
+        if *map != base.map.with_events(faults, repairs) {
+            violations.push(Violation::CertificateMismatch {
+                what: "fault map is not the previous epoch's plus the batch".into(),
+            });
         }
-
-        // Phase 2 only removes nodes: every region sits inside a block.
-        let mut region_cost_per_block = vec![0usize; blocks.len()];
-        for (i, region) in regions.iter().enumerate() {
-            let contained = region
-                .cells
-                .iter()
+        if !windows.same_outside(&base.outcome.safety, &outcome.safety)
+            || !windows.same_outside(&base.outcome.activation, &outcome.activation)
+        {
+            violations.push(Violation::OutcomeInconsistent {
+                what: "labels outside the dirty windows differ from the previous epoch".into(),
+            });
+        }
+        let inside = |r: &Region| {
+            r.iter()
                 .next()
-                .map(|first| owner[topology.index_of(first)])
-                .filter(|&bi| bi != usize::MAX)
-                .is_some_and(|bi| {
-                    if blocks[bi].cells.is_superset(&region.cells) {
-                        region_cost_per_block[bi] += region.nonfaulty_count();
-                        true
-                    } else {
-                        false
-                    }
-                });
-            if !contained {
-                violations.push(Violation::RegionOutsideBlock { region: i });
-            }
+                .is_some_and(|c| windows.contains(topology, c))
+        };
+        let carried = carried_match(
+            base.outcome.blocks.iter().zip(&base.certificate.blocks),
+            outcome.blocks.iter().zip(&self.blocks),
+            |b| &b.cells,
+            &inside,
+            |a, b| a.cells == b.cells && a.faults == b.faults && a.planar == b.planar,
+            BlockFact::of,
+        ) && carried_match(
+            base.outcome.regions.iter().zip(&base.certificate.regions),
+            outcome.regions.iter().zip(&self.regions),
+            |r| &r.cells,
+            &inside,
+            |a, b| {
+                a.cells == b.cells
+                    && a.faults == b.faults
+                    && a.planar == b.planar
+                    && a.planar_faults == b.planar_faults
+            },
+            RegionWitness::of,
+        );
+        if self.blocks.len() != outcome.blocks.len() || self.regions.len() != outcome.regions.len()
+        {
+            violations.push(Violation::CertificateMismatch {
+                what: "block or region count".into(),
+            });
+        } else if !carried {
+            violations.push(Violation::CertificateMismatch {
+                what: "blocks, regions or facts differ from the previous epoch's or the window's"
+                    .into(),
+            });
         }
 
-        // Corollary, per block: the nonfaulty cost of a block's regions
-        // is bounded by the smallest orthogonal convex polygon covering
-        // all the block's faults (`None` bound for unwrappable blocks).
-        for (bi, block) in blocks.iter().enumerate() {
-            if block.planar.is_none() {
-                continue;
-            }
-            // On a mesh the block's faults are already planar; only
-            // torus blocks need the seam translation.
-            let planar_faults = if topology.kind() == TopologyKind::Mesh {
-                block.faults.clone()
-            } else {
-                let cells: Vec<Coord> = block.cells.iter().collect();
-                let Some(mapping) = Region::unwrap_mapping(topology, &cells) else {
-                    continue;
-                };
-                Region::from_cells(block.faults.iter().map(|f| mapping[&f]))
-            };
-            let closure_cost = closure_spans(&planar_faults).len() - planar_faults.len();
-            if region_cost_per_block[bi] > closure_cost {
-                violations.push(Violation::CorollaryViolated {
-                    block: bi,
-                    costs: (region_cost_per_block[bi], closure_cost),
+        // Ground truth inside each window, on the window's own mesh.
+        let mut truth_blocks: Vec<Region> = Vec::new();
+        let mut truth_regions: Vec<Region> = Vec::new();
+        for win in list {
+            let local_map = FaultMap::from_health(win.cut(map.health_grid()));
+            let safety = win.cut(&outcome.safety);
+            let activation = win.cut(&outcome.activation);
+            if win
+                .edge(topology)
+                .into_iter()
+                .any(|l| *safety.get(l) == SafetyState::Unsafe)
+            {
+                violations.push(Violation::OutcomeInconsistent {
+                    what: "an unsafe node sits on the edge of a dirty window".into(),
                 });
             }
+            for fault in local_map.faults() {
+                if *safety.get(fault) != SafetyState::Unsafe
+                    || *activation.get(fault) != ActivationState::Disabled
+                {
+                    violations.push(Violation::FaultNotCovered {
+                        fault: win.to_machine(topology, fault),
+                    });
+                }
+            }
+            let blocks = extract_blocks(&local_map, &safety);
+            let regions = extract_regions(&local_map, &activation);
+            let to_machine =
+                |r: &Region| Region::from_cells(r.iter().map(|l| win.to_machine(topology, l)));
+            truth_blocks.extend(blocks.iter().map(|b| to_machine(&b.cells)));
+            truth_regions.extend(regions.iter().map(|r| to_machine(&r.cells)));
+            let local_topology = win.local_topology();
+            check_components(
+                local_topology,
+                &blocks,
+                &regions,
+                required,
+                &mut violations,
+                &mut report,
+            );
+        }
+        let declared_blocks: Vec<&Region> = outcome
+            .blocks
+            .iter()
+            .map(|b| &b.cells)
+            .filter(|r| inside(r))
+            .collect();
+        let declared_regions: Vec<&Region> = outcome
+            .regions
+            .iter()
+            .map(|r| &r.cells)
+            .filter(|r| inside(r))
+            .collect();
+        if !same_sets(&declared_blocks, &truth_blocks) {
+            violations.push(Violation::OutcomeInconsistent {
+                what: "blocks differ from the safety grid's unsafe components".into(),
+            });
+        }
+        if !same_sets(&declared_regions, &truth_regions) {
+            violations.push(Violation::OutcomeInconsistent {
+                what: "regions differ from the activation grid's disabled components".into(),
+            });
+        }
+        regions_too_close(topology, &declared_regions, &mut violations);
+
+        if violations.is_empty() {
+            Ok(report)
+        } else {
+            Err(violations)
         }
     }
 
@@ -800,6 +902,256 @@ impl EpochCertificate {
             }
         }
     }
+}
+
+/// The previous certified epoch a windowed describe or check builds on:
+/// its certificate (checked, in full or windowed, before it was
+/// published), its fault map and its outcome.
+#[derive(Clone, Copy, Debug)]
+pub struct CertifiedEpoch<'a> {
+    /// The certificate the epoch was published with.
+    pub certificate: &'a EpochCertificate,
+    /// The epoch's fault map.
+    pub map: &'a FaultMap,
+    /// The epoch's labeled outcome.
+    pub outcome: &'a PipelineOutcome,
+}
+
+impl BlockFact {
+    /// The facts `describe` records for one block.
+    fn of(b: &FaultyBlock) -> Self {
+        let bbox = b.bbox();
+        BlockFact {
+            cells: b.cells.len(),
+            faults: b.faults.len(),
+            bbox,
+            // Full rectangle iff the planar embedding fills its own
+            // bounding box — one pass, not two.
+            rectangle: match (&b.planar, bbox) {
+                (Some(planar), Some(bbox)) => bbox.area() == planar.len(),
+                _ => false,
+            },
+        }
+    }
+}
+
+impl RegionWitness {
+    /// The witness `describe` records for one region.
+    fn of(r: &DisabledRegion) -> Self {
+        match (&r.planar, &r.planar_faults) {
+            (Some(planar), Some(planar_faults)) => {
+                let profile = PlanarProfile::new(planar);
+                RegionWitness {
+                    cells: r.cells.len(),
+                    faults: r.faults.len(),
+                    corners: profile.corners_of(planar),
+                    rows: profile.row_intervals(),
+                    closure_cells: closure_spans(planar_faults).len(),
+                    wrapped: false,
+                }
+            }
+            _ => RegionWitness {
+                cells: r.cells.len(),
+                faults: r.faults.len(),
+                rows: Vec::new(),
+                corners: Vec::new(),
+                closure_cells: 0,
+                wrapped: true,
+            },
+        }
+    }
+}
+
+/// True when describing and checking the windows alone beats the whole
+/// machine: they are local and cover at most a quarter of it. Past that
+/// the full mesh check's flat passes are cheaper than re-extracting the
+/// windows (at 256² / 10 % clustered faults, one giant block puts most of
+/// the machine in the window and the windowed check costs twice the full
+/// one).
+fn worth_windowing(windows: &DirtyWindows, topology: Topology) -> bool {
+    !windows.is_machine() && windows.cells(topology) * 4 <= topology.len()
+}
+
+/// The facts of a new epoch's components: `base`'s facts, in order, for
+/// the components outside the dirty windows, and fresh ones (`of`) for
+/// those inside.
+fn splice_facts<'a, T: 'a, F: Clone + 'a>(
+    base: impl Iterator<Item = (&'a T, &'a F)>,
+    next: impl Iterator<Item = &'a T>,
+    cells: impl Fn(&T) -> &Region,
+    inside: &impl Fn(&Region) -> bool,
+    of: impl Fn(&T) -> F,
+) -> Vec<F> {
+    let mut carried = base.filter(|(t, _)| !inside(cells(t))).map(|(_, f)| f);
+    next.map(|item| match inside(cells(item)) {
+        true => of(item),
+        false => carried.next().cloned().unwrap_or_else(|| of(item)),
+    })
+    .collect()
+}
+
+/// True iff the new epoch's components outside the dirty windows are
+/// `base`'s, in order and with `base`'s facts, and the facts of those
+/// inside are what `describe` records for them.
+fn carried_match<'a, T: 'a, F: PartialEq + 'a>(
+    base: impl Iterator<Item = (&'a T, &'a F)>,
+    next: impl Iterator<Item = (&'a T, &'a F)>,
+    cells: impl Fn(&T) -> &Region,
+    inside: &impl Fn(&Region) -> bool,
+    same: impl Fn(&T, &T) -> bool,
+    of: impl Fn(&T) -> F,
+) -> bool {
+    let mut carried = base.filter(|(t, _)| !inside(cells(t)));
+    for (item, fact) in next {
+        if inside(cells(item)) {
+            if *fact != of(item) {
+                return false;
+            }
+        } else {
+            match carried.next() {
+                Some((old, old_fact)) if same(old, item) && old_fact == fact => {}
+                _ => return false,
+            }
+        }
+    }
+    carried.next().is_none()
+}
+
+/// Theorem checks on ground-truth components extracted on `topology`
+/// (the machine, or one dirty window as a mesh of its own): Section 3's
+/// rectangles and spacing, Theorems 1/2 and Lemma 1 per region,
+/// containment, and the per-block corollary.
+fn check_components(
+    topology: Topology,
+    blocks: &[FaultyBlock],
+    regions: &[DisabledRegion],
+    required: u32,
+    violations: &mut Vec<Violation>,
+    report: &mut VerifyReport,
+) {
+    // Section 3: blocks are rectangles, pairwise >= required apart.
+    for (i, block) in blocks.iter().enumerate() {
+        match &block.planar {
+            None => report.wrapped_blocks += 1,
+            Some(_) => {
+                report.blocks_checked += 1;
+                if !block.is_rectangle() {
+                    violations.push(Violation::BlockNotRectangle { block: i });
+                }
+            }
+        }
+    }
+    let block_sets: Vec<&Region> = blocks.iter().map(|b| &b.cells).collect();
+    for (i, j, distance) in close_pairs(topology, &block_sets, required) {
+        violations.push(Violation::BlocksTooClose {
+            blocks: (i, j),
+            distance,
+            required,
+        });
+    }
+    // Which block owns each cell (containment + the corollary).
+    let mut owner: Vec<usize> = vec![usize::MAX; topology.len()];
+    for (bi, block) in blocks.iter().enumerate() {
+        for cell in block.cells.iter() {
+            owner[topology.index_of(cell)] = bi;
+        }
+    }
+    // Theorems 1/2 and Lemma 1 per region.
+    for (i, region) in regions.iter().enumerate() {
+        match (&region.planar, &region.planar_faults) {
+            (Some(planar), Some(planar_faults)) => {
+                report.regions_checked += 1;
+                let profile = PlanarProfile::new(planar);
+                if !profile.is_convex() {
+                    violations.push(Violation::RegionNotConvex { region: i });
+                }
+                for corner in profile.corners_of(planar) {
+                    if !planar_faults.contains(corner) {
+                        violations.push(Violation::CornerNotFaulty { region: i, corner });
+                    }
+                }
+                let closure = closure_spans(planar_faults);
+                if !profile.matches_closure(&closure) {
+                    violations.push(Violation::RegionNotMinimal {
+                        region: i,
+                        sizes: (planar.len(), closure.len()),
+                    });
+                }
+            }
+            _ => report.wrapped_regions += 1,
+        }
+    }
+
+    // Phase 2 only removes nodes: every region sits inside a block.
+    let mut region_cost_per_block = vec![0usize; blocks.len()];
+    for (i, region) in regions.iter().enumerate() {
+        let contained = region
+            .cells
+            .iter()
+            .next()
+            .map(|first| owner[topology.index_of(first)])
+            .filter(|&bi| bi != usize::MAX)
+            .is_some_and(|bi| {
+                if blocks[bi].cells.is_superset(&region.cells) {
+                    region_cost_per_block[bi] += region.nonfaulty_count();
+                    true
+                } else {
+                    false
+                }
+            });
+        if !contained {
+            violations.push(Violation::RegionOutsideBlock { region: i });
+        }
+    }
+
+    // Corollary, per block: the nonfaulty cost of a block's regions is
+    // bounded by the smallest orthogonal convex polygon covering all the
+    // block's faults (`None` bound for unwrappable blocks).
+    for (bi, block) in blocks.iter().enumerate() {
+        if block.planar.is_none() {
+            continue;
+        }
+        // On a mesh the block's faults are already planar; only torus
+        // blocks need the seam translation.
+        let planar_faults = if topology.kind() == TopologyKind::Mesh {
+            block.faults.clone()
+        } else {
+            let cells: Vec<Coord> = block.cells.iter().collect();
+            let Some(mapping) = Region::unwrap_mapping(topology, &cells) else {
+                continue;
+            };
+            Region::from_cells(block.faults.iter().map(|f| mapping[&f]))
+        };
+        let closure_cost = closure_spans(&planar_faults).len() - planar_faults.len();
+        if region_cost_per_block[bi] > closure_cost {
+            violations.push(Violation::CorollaryViolated {
+                block: bi,
+                costs: (region_cost_per_block[bi], closure_cost),
+            });
+        }
+    }
+}
+
+/// Declared regions closer than the paper's distance 2.
+fn regions_too_close(topology: Topology, declared: &[&Region], violations: &mut Vec<Violation>) {
+    for (i, j, distance) in close_pairs(topology, declared, 2) {
+        violations.push(Violation::RegionsTooClose {
+            regions: (i, j),
+            distance,
+        });
+    }
+}
+
+/// True when two families of cell sets are equal, order aside.
+fn same_sets(declared: &[&Region], truth: &[Region]) -> bool {
+    if declared.len() != truth.len() {
+        return false;
+    }
+    let mut declared: Vec<&Region> = declared.to_vec();
+    let mut truth: Vec<&Region> = truth.iter().collect();
+    declared.sort_by_key(|r| r.iter().next());
+    truth.sort_by_key(|r| r.iter().next());
+    declared == truth
 }
 
 /// Row-table profile of a planar region: one pass over the cells, after
@@ -1559,6 +1911,145 @@ mod tests {
                 |v| matches!(v, Violation::CertificateMismatch { what } if what.contains("witness"))
             ),
             "extracted path: {errs:?}"
+        );
+    }
+
+    /// Epoch 0 (16x16 mesh: a 2x2 block at [3,4]² and a lone fault at
+    /// (12,12)), its certificate, and epoch 1 after a fault at (5,5),
+    /// whose dirty window is [2,6]².
+    fn windowed_fixture() -> (
+        FaultMap,
+        PipelineOutcome,
+        EpochCertificate,
+        FaultMap,
+        PipelineOutcome,
+    ) {
+        let cfg = PipelineConfig::default();
+        let (map0, out0) = converged(Topology::mesh(16, 16), &[c(3, 3), c(4, 4), c(12, 12)]);
+        let cert0 = EpochCertificate::describe(0, &map0, &out0);
+        let (map1, epoch) =
+            crate::maintenance::try_relabel_batch(&map0, &[c(5, 5)], &[], &out0, &cfg).unwrap();
+        assert_eq!(
+            epoch.windows,
+            DirtyWindows::Local(vec![crate::window::Window::new(c(2, 2), 5, 5)])
+        );
+        (map0, out0, cert0, map1, epoch.outcome)
+    }
+
+    /// Describes `out1` the windowed way and checks it the windowed way
+    /// against the fixture's epoch 0 after `faults`.
+    fn check_windowed(
+        (map0, out0, cert0): (&FaultMap, &PipelineOutcome, &EpochCertificate),
+        faults: &[Coord],
+        map1: &FaultMap,
+        out1: &PipelineOutcome,
+    ) -> Result<VerifyReport, Vec<Violation>> {
+        let base = CertifiedEpoch {
+            certificate: cert0,
+            map: map0,
+            outcome: out0,
+        };
+        let cert = EpochCertificate::describe_after(base, &[c(5, 5)], &[], map1, out1);
+        cert.check_after(base, faults, &[], map1, out1)
+    }
+
+    #[test]
+    fn windowed_describe_and_check_match_the_full_ones() {
+        let (map0, out0, cert0, map1, out1) = windowed_fixture();
+        let base = CertifiedEpoch {
+            certificate: &cert0,
+            map: &map0,
+            outcome: &out0,
+        };
+        let cert = EpochCertificate::describe_after(base, &[c(5, 5)], &[], &map1, &out1);
+        assert_eq!(cert, EpochCertificate::describe(1, &map1, &out1));
+        let report = cert
+            .check_after(base, &[c(5, 5)], &[], &map1, &out1)
+            .expect("a correct epoch passes");
+        // Only the window's block and its three single-fault regions
+        // were checked (the lone fault at (12,12) is carried over).
+        assert_eq!((report.blocks_checked, report.regions_checked), (1, 3));
+        cert.check(&map1, &out1).expect("and the full check agrees");
+    }
+
+    #[test]
+    fn windowed_check_rejects_a_flipped_label_inside_the_window() {
+        let (map0, out0, cert0, map1, mut out1) = windowed_fixture();
+        // (3,5) is an enabled node of the new 3x3 block; disabling it
+        // splits no list entry, so only the grid knows.
+        assert_eq!(*out1.activation.get(c(3, 5)), ActivationState::Enabled);
+        out1.activation.set(c(3, 5), ActivationState::Disabled);
+        let errs = check_windowed((&map0, &out0, &cert0), &[c(5, 5)], &map1, &out1)
+            .expect_err("flipped inside");
+        assert!(
+            errs.iter()
+                .any(|v| matches!(v, Violation::OutcomeInconsistent { .. })),
+            "{errs:?}"
+        );
+    }
+
+    #[test]
+    fn windowed_check_rejects_a_flipped_label_outside_the_window() {
+        let (map0, out0, cert0, map1, mut out1) = windowed_fixture();
+        out1.safety.set(c(9, 9), SafetyState::Unsafe);
+        let errs = check_windowed((&map0, &out0, &cert0), &[c(5, 5)], &map1, &out1)
+            .expect_err("flipped outside");
+        assert!(
+            errs.iter().any(
+                |v| matches!(v, Violation::OutcomeInconsistent { what } if what.contains("outside"))
+            ),
+            "{errs:?}"
+        );
+    }
+
+    #[test]
+    fn windowed_check_rejects_a_block_touching_the_window_edge() {
+        let (map0, out0, cert0, map1, mut out1) = windowed_fixture();
+        // Grow the new block [3,5]² by a column into the window's east
+        // edge (x = 6), consistently in the grids and the lists.
+        for y in 3..=5 {
+            out1.safety.set(c(6, y), SafetyState::Unsafe);
+        }
+        out1.blocks = extract_blocks(&map1, &out1.safety);
+        let errs = check_windowed((&map0, &out0, &cert0), &[c(5, 5)], &map1, &out1)
+            .expect_err("block on the edge");
+        assert!(
+            errs.iter().any(
+                |v| matches!(v, Violation::OutcomeInconsistent { what } if what.contains("edge"))
+            ),
+            "{errs:?}"
+        );
+    }
+
+    #[test]
+    fn windowed_check_rejects_a_certificate_for_a_different_batch() {
+        let (map0, out0, cert0, map1, out1) = windowed_fixture();
+        // The same epoch checked as if the batch had broken (5,6) instead.
+        let errs = check_windowed((&map0, &out0, &cert0), &[c(5, 6)], &map1, &out1)
+            .expect_err("different batch");
+        assert!(
+            errs.iter()
+                .any(|v| matches!(v, Violation::CertificateMismatch { .. })),
+            "{errs:?}"
+        );
+        // And a certificate of another epoch's outcome.
+        let (map_b, out_b) = converged(
+            Topology::mesh(16, 16),
+            &[c(3, 3), c(4, 4), c(12, 12), c(9, 2)],
+        );
+        let base = CertifiedEpoch {
+            certificate: &cert0,
+            map: &map0,
+            outcome: &out0,
+        };
+        let other = EpochCertificate::describe_after(base, &[c(9, 2)], &[], &map_b, &out_b);
+        let errs = other
+            .check_after(base, &[c(5, 5)], &[], &map1, &out1)
+            .expect_err("another epoch's certificate");
+        assert!(
+            errs.iter()
+                .any(|v| matches!(v, Violation::DigestMismatch { .. })),
+            "{errs:?}"
         );
     }
 

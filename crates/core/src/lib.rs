@@ -74,6 +74,7 @@ pub mod stats;
 pub mod status;
 pub(crate) mod telemetry;
 pub mod verify;
+pub mod window;
 
 /// One-stop imports for typical use.
 pub mod prelude {

@@ -64,45 +64,51 @@ pub fn extract_regions(map: &FaultMap, activation: &Grid<ActivationState>) -> Ve
         activation.topology(),
         "activation grid belongs to a different machine"
     );
-    let topology = map.topology();
     connected_components_grid(activation, |&s| s == ActivationState::Disabled)
         .into_iter()
-        .map(|comp| {
-            let faults: Vec<Coord> = comp
-                .cells
-                .iter()
-                .copied()
-                .filter(|&c| map.is_faulty(c))
-                .collect();
-            // One embedding serves both the cells and their fault subset,
-            // so convexity and minimality checks see consistent coordinates.
-            // On a mesh that embedding is the identity — skip the
-            // seam-unwrapping BFS, which dominates extraction on big regions.
-            if topology.kind() == TopologyKind::Mesh {
-                let cells = Region::from_cells(comp.cells);
-                let faults = Region::from_cells(faults);
-                return DisabledRegion {
-                    planar: Some(cells.clone()),
-                    cells,
-                    planar_faults: Some(faults.clone()),
-                    faults,
-                };
-            }
-            let mapping = Region::unwrap_mapping(topology, &comp.cells);
-            let planar = mapping
-                .as_ref()
-                .map(|m| Region::from_cells(m.values().copied()));
-            let planar_faults = mapping
-                .as_ref()
-                .map(|m| Region::from_cells(faults.iter().map(|f| m[f])));
-            DisabledRegion {
-                cells: Region::from_cells(comp.cells),
-                planar,
-                faults: Region::from_cells(faults),
-                planar_faults,
-            }
-        })
+        .map(|comp| DisabledRegion::of_component(map, comp.cells))
         .collect()
+}
+
+impl DisabledRegion {
+    /// The region over one disabled component, given as its sorted
+    /// machine-coordinate cells — shared by the whole-machine extraction
+    /// and the dirty-window splice, so the two agree field for field.
+    pub(crate) fn of_component(map: &FaultMap, cells: Vec<Coord>) -> Self {
+        let topology = map.topology();
+        let faults: Vec<Coord> = cells
+            .iter()
+            .copied()
+            .filter(|&c| map.is_faulty(c))
+            .collect();
+        // One embedding serves both the cells and their fault subset, so
+        // convexity and minimality checks see consistent coordinates. On a
+        // mesh that embedding is the identity — skip the seam-unwrapping
+        // BFS, which dominates extraction on big regions.
+        if topology.kind() == TopologyKind::Mesh {
+            let cells = Region::from_cells(cells);
+            let faults = Region::from_cells(faults);
+            return DisabledRegion {
+                planar: Some(cells.clone()),
+                cells,
+                planar_faults: Some(faults.clone()),
+                faults,
+            };
+        }
+        let mapping = Region::unwrap_mapping(topology, &cells);
+        let planar = mapping
+            .as_ref()
+            .map(|m| Region::from_cells(m.values().copied()));
+        let planar_faults = mapping
+            .as_ref()
+            .map(|m| Region::from_cells(faults.iter().map(|f| m[f])));
+        DisabledRegion {
+            cells: Region::from_cells(cells),
+            planar,
+            faults: Region::from_cells(faults),
+            planar_faults,
+        }
+    }
 }
 
 #[cfg(test)]

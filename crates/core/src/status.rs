@@ -44,6 +44,13 @@ impl FaultMap {
         Self { grid, fault_count }
     }
 
+    /// The map over an existing per-node health grid (e.g. one window of a
+    /// larger machine, cut out as a machine of its own).
+    pub fn from_health(grid: Grid<Health>) -> Self {
+        let fault_count = grid.count_where(|&h| h == Health::Faulty);
+        Self { grid, fault_count }
+    }
+
     /// A fault-free machine.
     pub fn healthy(topology: Topology) -> Self {
         Self::new(topology, std::iter::empty())
@@ -81,23 +88,40 @@ impl FaultMap {
     /// A copy of this map with one more faulty node (for incremental
     /// maintenance experiments). No-op if `c` is already faulty.
     pub fn with_additional_fault(&self, c: Coord) -> Self {
-        let mut next = self.clone();
-        if !next.is_faulty(c) {
-            next.grid.set(c, Health::Faulty);
-            next.fault_count += 1;
-        }
-        next
+        self.with_events(&[c], &[])
     }
 
     /// A copy of this map with the node at `c` repaired. No-op if `c` is
-    /// healthy. (Repair is *not* monotone for either labeling phase, so
-    /// relabeling after a repair always starts cold — see
-    /// [`crate::maintenance::relabel_after_repair`].)
+    /// healthy. Repair can retract unsafe labels, so relabeling after it
+    /// restarts the repaired node's old block cold — see
+    /// [`crate::maintenance::try_relabel_batch`].
     pub fn with_repaired_node(&self, c: Coord) -> Self {
+        self.with_events(&[], &[c])
+    }
+
+    /// A copy of this map after one batch of events: `repairs` applied
+    /// first, then `faults` — one clone for the whole batch. Repairs of
+    /// healthy nodes and faults of faulty ones are no-ops.
+    ///
+    /// # Panics
+    /// Panics if an event lies outside the machine.
+    pub fn with_events(&self, faults: &[Coord], repairs: &[Coord]) -> Self {
+        let topology = self.topology();
+        for &c in faults.iter().chain(repairs) {
+            assert!(topology.contains(c), "event {c} outside machine");
+        }
         let mut next = self.clone();
-        if next.is_faulty(c) {
-            next.grid.set(c, Health::Healthy);
-            next.fault_count -= 1;
+        for &c in repairs {
+            if next.is_faulty(c) {
+                next.grid.set(c, Health::Healthy);
+                next.fault_count -= 1;
+            }
+        }
+        for &c in faults {
+            if !next.is_faulty(c) {
+                next.grid.set(c, Health::Faulty);
+                next.fault_count += 1;
+            }
         }
         next
     }
@@ -199,6 +223,23 @@ mod tests {
         assert!(!repaired.is_faulty(c(1, 1)));
         // idempotent on healthy nodes
         assert_eq!(repaired.with_repaired_node(c(1, 1)).fault_count(), 1);
+    }
+
+    #[test]
+    fn one_batch_applies_repairs_then_faults() {
+        let map = FaultMap::new(Topology::mesh(4, 4), [c(0, 0), c(1, 1)]);
+        let next = map.with_events(&[c(2, 2), c(3, 3), c(2, 2)], &[c(1, 1), c(0, 1)]);
+        assert_eq!(next.faults(), vec![c(0, 0), c(2, 2), c(3, 3)]);
+        assert_eq!(next.fault_count(), 3);
+        // A node repaired and re-broken in one batch ends up faulty.
+        assert!(map.with_events(&[c(1, 1)], &[c(1, 1)]).is_faulty(c(1, 1)));
+        assert_eq!(FaultMap::from_health(next.health_grid().clone()), next);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside machine")]
+    fn out_of_range_event_panics() {
+        FaultMap::healthy(Topology::mesh(3, 3)).with_events(&[], &[c(-1, 1)]);
     }
 
     #[test]

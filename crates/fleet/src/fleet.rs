@@ -20,7 +20,7 @@
 //! With [`FleetConfig::wal_dir`] set, each tenant's epochs are logged to
 //! `<wal_dir>/<name>.wal` and the tenant roster itself is persisted to
 //! `<wal_dir>/manifest.json` (rewritten atomically on every create and
-//! drop). [`Fleet::recover`] rebuilds the whole fleet from that
+//! drop, with a checksum of the roster). [`Fleet::recover`] rebuilds the whole fleet from that
 //! directory: the manifest restores the roster and each tenant's
 //! service is resurrected by [`MeshService::recover`] — placement needs
 //! no persistence because the hash ring is deterministic.
@@ -166,6 +166,45 @@ pub fn validate_tenant_name(name: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The durable roster as stored in `manifest.json`: the tenants and an
+/// FNV-1a checksum of their canonical encoding, so a corrupted manifest
+/// is refused rather than restoring a roster nobody wrote.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct Manifest {
+    tenants: BTreeMap<String, TenantSpec>,
+    checksum: u64,
+}
+
+impl Manifest {
+    fn encode(tenants: BTreeMap<String, TenantSpec>) -> Vec<u8> {
+        let body = serde_json::to_vec(&tenants).expect("specs always serialize");
+        let checksum = ocp_core::certificate::fnv1a(&body);
+        serde_json::to_vec(&Manifest { tenants, checksum }).expect("manifests always serialize")
+    }
+
+    /// The roster, once the bytes parse, the checksum matches the
+    /// tenants' canonical encoding, and every name is a valid tenant name
+    /// (names become WAL file names). A bare roster without the checksum,
+    /// as earlier builds wrote it, is still read; recovery rewrites it in
+    /// the checksummed form.
+    fn decode(raw: &[u8]) -> Result<BTreeMap<String, TenantSpec>, String> {
+        let tenants = match serde_json::from_slice::<Manifest>(raw) {
+            Ok(manifest) => {
+                let body = serde_json::to_vec(&manifest.tenants).expect("specs always serialize");
+                if ocp_core::certificate::fnv1a(&body) != manifest.checksum {
+                    return Err("checksum mismatch".into());
+                }
+                manifest.tenants
+            }
+            Err(e) => serde_json::from_slice(raw).map_err(|_| e.to_string())?,
+        };
+        for name in tenants.keys() {
+            validate_tenant_name(name).map_err(|e| format!("tenant {name:?}: {e}"))?;
+        }
+        Ok(tenants)
+    }
+}
+
 impl Fleet {
     /// Starts an empty fleet. Creates `wal_dir` (and an empty manifest)
     /// when durability is configured.
@@ -201,9 +240,10 @@ impl Fleet {
     /// deterministic hash ring.
     ///
     /// # Errors
-    /// Fails if `wal_dir` is unset, the manifest is unreadable, or any
-    /// tenant's WAL replay fails — a fleet that cannot prove it restored
-    /// every tenant refuses to start.
+    /// Fails if `wal_dir` is unset, the manifest is unreadable or fails
+    /// its checksum, a tenant name in it is invalid, or any tenant's WAL
+    /// replay fails — a fleet that cannot prove it restored every tenant
+    /// refuses to start.
     pub fn recover(config: FleetConfig) -> Result<Self, String> {
         let dir = config
             .wal_dir
@@ -212,8 +252,7 @@ impl Fleet {
         let manifest_path = dir.join("manifest.json");
         let raw = std::fs::read(&manifest_path)
             .map_err(|e| format!("cannot read {}: {e}", manifest_path.display()))?;
-        let roster: BTreeMap<String, TenantSpec> =
-            serde_json::from_slice(&raw).map_err(|e| format!("corrupt manifest: {e}"))?;
+        let roster = Manifest::decode(&raw).map_err(|e| format!("corrupt manifest: {e}"))?;
 
         // `bare`, not `new`: the on-disk manifest must stay intact until
         // the roster it describes is fully restored, so a crash at any
@@ -612,7 +651,7 @@ impl FleetHandle {
                 .map(|(name, entry)| (name.clone(), entry.spec.clone()))
                 .collect()
         };
-        let bytes = serde_json::to_vec(&roster).expect("specs always serialize");
+        let bytes = Manifest::encode(roster);
         let tmp = dir.join("manifest.json.tmp");
         std::fs::write(&tmp, bytes)?;
         std::fs::rename(&tmp, dir.join("manifest.json"))?;

@@ -83,6 +83,16 @@ impl Region {
         Some(planar)
     }
 
+    /// The smallest cell in `Coord` order (`(x, y)` lexicographic).
+    pub fn first(&self) -> Option<Coord> {
+        self.cells.first().copied()
+    }
+
+    /// The largest cell in `Coord` order.
+    pub fn last(&self) -> Option<Coord> {
+        self.cells.last().copied()
+    }
+
     /// Number of cells.
     pub fn len(&self) -> usize {
         self.cells.len()

@@ -142,22 +142,23 @@ pub enum Response {
     Status(StatusReply),
     /// Reply to [`Request::InjectFaults`] / [`Request::RepairNodes`].
     Injected(InjectReply),
-    /// Reply to [`Request::Stats`].
-    Stats(StatsReport),
+    /// Reply to [`Request::Stats`]. Boxed, like the other wide payloads,
+    /// so every `Response` a decode layer moves stays small.
+    Stats(Box<StatsReport>),
     /// Reply to [`Request::MetricsText`].
     MetricsText {
         /// The rendered Prometheus text exposition page.
         text: String,
     },
     /// Reply to [`Request::ObsReport`].
-    Obs(ObsReport),
+    Obs(Box<ObsReport>),
     /// Reply to [`Request::Epoch`].
     Epoch {
         /// Head epoch at the time the reply was produced.
         epoch: u64,
     },
     /// Reply to [`Request::Certificate`].
-    Certificate(CertificateReply),
+    Certificate(Box<CertificateReply>),
     /// The request could not be handled (malformed frame, internal error).
     Error {
         /// Human-readable reason.
@@ -425,10 +426,10 @@ mod tests {
                 epoch_at_enqueue: 7,
             }),
             Response::Epoch { epoch: 12 },
-            Response::Certificate(CertificateReply {
+            Response::Certificate(Box::new(CertificateReply {
                 epoch: 9,
                 certificate: None,
-            }),
+            })),
             Response::MetricsText {
                 text: "# TYPE ocp_serve_epoch gauge\nocp_serve_epoch 3\n".into(),
             },
@@ -471,5 +472,12 @@ mod tests {
             .endpoint(),
             "route"
         );
+    }
+
+    #[test]
+    fn responses_stay_small_with_the_wide_payloads_boxed() {
+        // `Stats` and `Obs` reports are hundreds of bytes; inline they made
+        // every `Response` that size, and every decode layer moves one.
+        assert!(std::mem::size_of::<Response>() <= 64);
     }
 }

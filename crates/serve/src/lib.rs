@@ -13,7 +13,8 @@
 //! * [`snapshot`] — immutable per-epoch machine state: fault map, the
 //!   converged two-phase labeling, and a ready-built
 //!   [`FaultTolerantRouter`](ocp_routing::FaultTolerantRouter). Epoch
-//!   `k+1` derives from `k` through the warm-start maintenance path.
+//!   `k+1` derives from `k` block-locally: only the dirty windows around
+//!   the faulty blocks a batch touches are relabeled and re-indexed.
 //! * [`service`] — the epoch pointer (atomic epoch + `Arc` slot), the
 //!   single writer thread with batched, admission-controlled event
 //!   ingestion, and the lock-free [`ServiceHandle`] query API.

@@ -16,8 +16,10 @@
 //! * **Single writer, batched ingestion.** Fault/repair events enter a
 //!   bounded queue ([`BoundedQueue`]) with explicit `Overloaded`
 //!   rejection. The writer drains up to `batch_max` events at a time,
-//!   validates them against the current map, re-converges via the
-//!   warm-start maintenance path, and publishes one new snapshot per
+//!   validates them against the current map, relabels only the dirty
+//!   windows around the faulty blocks the batch touches
+//!   ([`Snapshot::apply`]), certifies those windows by induction from the
+//!   previous certified epoch, and publishes one new snapshot per
 //!   batch — coalescing is what keeps epoch churn (and reader refresh
 //!   cost) proportional to load, not to event count.
 
@@ -30,7 +32,7 @@ use crate::metrics::{prometheus_text, Metrics, ObsReport, StatsReport};
 use crate::queue::BoundedQueue;
 use crate::snapshot::{EventBatch, Snapshot};
 use crate::wal::{Wal, WalRecord};
-use ocp_core::certificate::{outcome_digest, EpochCertificate};
+use ocp_core::certificate::{outcome_digest, CertifiedEpoch, EpochCertificate};
 use ocp_core::prelude::*;
 use ocp_mesh::{Coord, Topology};
 use std::fmt;
@@ -44,9 +46,12 @@ use std::time::{Duration, Instant};
 ///
 /// In `Enforce` (the default) every candidate snapshot is distilled into
 /// an [`EpochCertificate`] and independently re-checked before the atomic
-/// publish; a failing warm snapshot triggers one cold recompute of the
-/// same epoch, and if that fails too the batch is refused — readers keep
-/// the last certified epoch and never observe a skipped epoch number.
+/// publish — in the batch's dirty windows only, by induction from the
+/// previous certified epoch ([`EpochCertificate::check_after`]), or in
+/// full for the first epoch after a start or recovery. A failing
+/// snapshot triggers one cold recompute of the same epoch, checked in
+/// full, and if that fails too the batch is refused — readers keep the
+/// last certified epoch and never observe a skipped epoch number.
 ///
 /// ```
 /// use ocp_serve::{CertMode, ServeConfig};
@@ -183,7 +188,9 @@ pub struct EpochRecord {
     pub faults: Vec<Coord>,
     /// Repairs applied in this batch.
     pub repairs: Vec<Coord>,
-    /// Warm phase-1 rounds the relabeling needed (0 for cold reruns).
+    /// Phase-1 rounds the block-local relabeling needed; for a fault-only
+    /// batch, the whole-machine warm run's count. 0 when the certificate
+    /// gate fell back to a cold rerun.
     pub warm_rounds: u32,
     /// The publish-time certificate the epoch shipped with (`None` with
     /// [`CertMode::Off`], or for an uncertified [`CertMode::Warn`]
@@ -330,11 +337,7 @@ impl MeshService {
                     "epoch {epoch} digest does not match the replayed snapshot"
                 )));
             }
-            let warm_rounds = if batch.repairs.is_empty() {
-                next.outcome.safety_trace.rounds()
-            } else {
-                0
-            };
+            let warm_rounds = next.outcome.safety_trace.rounds();
             // A zero digest marks an epoch that was originally published
             // uncertified (CertMode::Off, or a Warn-mode publish whose
             // check failed); re-deriving a certificate for it would make
@@ -384,6 +387,10 @@ impl MeshService {
             batch_max: config.batch_max,
             genesis_cert,
         });
+        // The first certified epoch the writer's windowed checks build on:
+        // the genesis, once it passes the full check. After a recovery
+        // there is none, so the first publish is checked in full.
+        let mut certified = None;
         if let Some(cert) = &shared.genesis_cert {
             if cert.check(&initial.map, &initial.outcome).is_err() {
                 // The cold pipeline is verified by the whole test suite;
@@ -391,13 +398,15 @@ impl MeshService {
                 // machine state. Count it — epoch 0 must exist regardless.
                 shared.metrics.cert_failures.fetch_add(1, Ordering::Relaxed);
                 eprintln!("ocp-serve: genesis certificate failed its own check");
+            } else {
+                certified = Some(cert.clone());
             }
         }
         let writer = {
             let shared = shared.clone();
             std::thread::Builder::new()
                 .name("ocp-serve-writer".into())
-                .spawn(move || writer_loop(shared, initial, config, wal))
+                .spawn(move || writer_loop(shared, initial, certified, config, wal))
                 .expect("spawn writer thread")
         };
         Self {
@@ -469,10 +478,14 @@ impl Drop for MeshService {
 }
 
 /// The writer: drain → validate → relabel → certify → log → publish,
-/// until closed.
+/// until closed. `certified` is the certificate of `current` when that
+/// epoch passed its check here; each batch is then described and checked
+/// only in its dirty windows, by induction from it. Without one (after a
+/// recovery, or an uncertified Warn publish) the batch is checked in full.
 fn writer_loop(
     shared: Arc<Shared>,
     mut current: Arc<Snapshot>,
+    mut certified: Option<EpochCertificate>,
     config: ServeConfig,
     mut wal: Option<Wal>,
 ) {
@@ -500,7 +513,8 @@ fn writer_loop(
                         && !batch.faults.contains(&c)
                 }
                 Event::Repair(c) => {
-                    current.map.is_faulty(c)
+                    current.map.topology().contains(c)
+                        && current.map.is_faulty(c)
                         && !batch.repairs.contains(&c)
                         && !batch.faults.contains(&c)
                 }
@@ -528,11 +542,7 @@ fn writer_loop(
             match current.apply(&batch, &pipeline) {
                 Ok(candidate) => {
                     let mut next = candidate;
-                    let mut warm_rounds = if batch.repairs.is_empty() {
-                        next.outcome.safety_trace.rounds()
-                    } else {
-                        0
-                    };
+                    let mut warm_rounds = next.outcome.safety_trace.rounds();
                     // Certificate gate: distill, then independently
                     // re-check before anything becomes visible. A failing
                     // warm snapshot gets one cold recompute of the *same*
@@ -543,9 +553,37 @@ fn writer_loop(
                     let mut certificate = None;
                     let mut rejected = false;
                     if config.cert_mode != CertMode::Off {
-                        let cert = EpochCertificate::describe(next.epoch, &next.map, &next.outcome);
-                        let warm_ok = cert.check(&next.map, &next.outcome).is_ok()
-                            && !config.cert_chaos.fail_warm(attempt);
+                        let (cert, checked) = match &certified {
+                            Some(prev) => {
+                                let base = CertifiedEpoch {
+                                    certificate: prev,
+                                    map: &current.map,
+                                    outcome: &current.outcome,
+                                };
+                                let (faults, repairs) = (&batch.faults, &batch.repairs);
+                                let cert = EpochCertificate::describe_after(
+                                    base,
+                                    faults,
+                                    repairs,
+                                    &next.map,
+                                    &next.outcome,
+                                );
+                                let checked = cert
+                                    .check_after(base, faults, repairs, &next.map, &next.outcome)
+                                    .is_ok();
+                                (cert, checked)
+                            }
+                            None => {
+                                let cert = EpochCertificate::describe(
+                                    next.epoch,
+                                    &next.map,
+                                    &next.outcome,
+                                );
+                                let checked = cert.check(&next.map, &next.outcome).is_ok();
+                                (cert, checked)
+                            }
+                        };
+                        let warm_ok = checked && !config.cert_chaos.fail_warm(attempt);
                         if warm_ok {
                             certificate = Some(cert);
                         } else {
@@ -641,8 +679,9 @@ fn writer_loop(
                                 faults: batch.faults.clone(),
                                 repairs: batch.repairs.clone(),
                                 warm_rounds,
-                                certificate,
+                                certificate: certificate.clone(),
                             });
+                        certified = certificate;
                         current = next;
                     }
                 }
@@ -1057,18 +1096,18 @@ impl ServiceHandle {
             Request::Status { node } => Response::Status(self.status(node)),
             Request::InjectFaults { nodes } => Response::Injected(self.inject_faults(&nodes)),
             Request::RepairNodes { nodes } => Response::Injected(self.repair_nodes(&nodes)),
-            Request::Stats => Response::Stats(self.stats()),
+            Request::Stats => Response::Stats(Box::new(self.stats())),
             Request::MetricsText => Response::MetricsText {
                 text: self.metrics_text(),
             },
-            Request::ObsReport => Response::Obs(self.obs_report()),
+            Request::ObsReport => Response::Obs(Box::new(self.obs_report())),
             Request::Epoch => Response::Epoch {
                 epoch: self.epoch(),
             },
-            Request::Certificate { epoch } => Response::Certificate(CertificateReply {
+            Request::Certificate { epoch } => Response::Certificate(Box::new(CertificateReply {
                 epoch,
                 certificate: self.certificate(epoch),
-            }),
+            })),
         }
     }
 }
@@ -1085,6 +1124,27 @@ mod tests {
     fn small_service() -> MeshService {
         MeshService::start(Topology::mesh(12, 12), [c(3, 3)], ServeConfig::default())
             .expect("service starts")
+    }
+
+    #[test]
+    fn off_machine_repairs_are_discarded_and_the_writer_survives() {
+        let service = small_service();
+        let handle = service.handle();
+        // (-1, 1) aliases the faulty-looking row-major index of (11, 0) and
+        // (100, 100) indexes past the grid; neither is a node.
+        let _ = handle.inject_faults(&[c(11, 0)]);
+        assert!(service.quiesce(Duration::from_secs(10)));
+        assert_eq!(handle.repair_nodes(&[c(-1, 1), c(100, 100)]).accepted, 2);
+        assert!(service.quiesce(Duration::from_secs(10)));
+        assert_eq!(handle.inject_faults(&[c(6, 6)]).accepted, 1);
+        assert!(
+            service.quiesce(Duration::from_secs(10)),
+            "writer still alive"
+        );
+        let log = service.epoch_log();
+        assert_eq!(log.len(), 2, "the bogus repairs published nothing");
+        assert!(log.iter().all(|r| r.repairs.is_empty()));
+        assert_eq!(service.shutdown().events_discarded, 2);
     }
 
     #[test]

@@ -7,14 +7,20 @@
 //! query is answered entirely against one self-consistent machine state no
 //! matter how many newer epochs the writer publishes mid-flight.
 //!
-//! Epoch `k+1` is derived from epoch `k` by [`Snapshot::apply`]: a batch
-//! of new faults reuses the paper's warm-start maintenance path (phase 1
-//! is monotone in the fault set), while any repair in the batch forces the
-//! cold rerun that repairs require — exactly the rules
-//! `ocp-core::maintenance` centralizes.
+//! Epoch `k+1` is derived from epoch `k` by [`Snapshot::apply`], one path
+//! for every batch, faults, repairs or both. The labeling is block-local
+//! (`ocp-core::maintenance::try_relabel_batch`): only the dirty windows
+//! around the faulty blocks the batch touches are relabeled, and the rest
+//! of the grids, blocks and regions is carried over. The router's tables
+//! are then patched from epoch `k`'s by
+//! [`FaultTolerantRouter::rebuild_from`]. Both results are byte-identical
+//! to the cold pipeline and the cold index build, which stay the oracles
+//! ([`Snapshot::cold`]). Each epoch records its window size in
+//! `ocp_epoch_window_cells` and, when it went machine-wide, bumps
+//! `ocp_epoch_window_escalations_total`.
 
 use crate::api::NodeState;
-use ocp_core::maintenance::try_relabel_after_faults;
+use ocp_core::maintenance::try_relabel_batch;
 use ocp_core::prelude::*;
 use ocp_geometry::Region;
 use ocp_mesh::Coord;
@@ -71,8 +77,9 @@ impl std::fmt::Debug for Snapshot {
 }
 
 impl Snapshot {
-    /// Cold-builds the snapshot for `map` (used for epoch 0 and for
-    /// batches containing repairs).
+    /// Cold-builds the snapshot for `map`: epoch 0, recovery's genesis,
+    /// the certificate gate's fallback, and the oracle every derived
+    /// epoch must equal.
     pub fn cold(
         epoch: u64,
         map: FaultMap,
@@ -149,32 +156,47 @@ impl Snapshot {
         }
     }
 
-    /// Derives the next epoch's snapshot after `batch`. Pure-fault batches
-    /// take the warm-start relabeling path and patch the router's tables
-    /// incrementally from this snapshot's; any repair forces a cold rerun
-    /// (warm-starting across repairs is unsound — see
-    /// `ocp-core::maintenance::relabel_after_repair`), which also
-    /// cold-builds the router and so serves as the pinned fallback.
+    /// Derives the next epoch's snapshot after `batch`: relabels only the
+    /// dirty windows the batch touches (machine-wide when they reach
+    /// around a torus) and patches the router's tables incrementally from
+    /// this snapshot's, repairs included.
     pub fn apply(
         &self,
         batch: &EventBatch,
         config: &PipelineConfig,
     ) -> Result<Self, ConvergenceError> {
-        let epoch = self.epoch + 1;
-        if batch.repairs.is_empty() {
-            let (map, m) =
-                try_relabel_after_faults(&self.map, &batch.faults, &self.outcome, config)?;
-            Ok(Self::from_outcome_after(self, epoch, map, m.outcome))
-        } else {
-            let mut map = self.map.clone();
-            for &r in &batch.repairs {
-                map = map.with_repaired_node(r);
+        let (map, epoch) = try_relabel_batch(
+            &self.map,
+            &batch.faults,
+            &batch.repairs,
+            &self.outcome,
+            config,
+        )?;
+        if ocp_obs::enabled() {
+            let reg = ocp_obs::global();
+            reg.histogram(
+                "ocp_epoch_window_cells",
+                "Nodes one published epoch relabeled: its dirty windows' total, \
+                 or the whole machine when it escalated.",
+                &[],
+            )
+            .record(epoch.windows.cells(map.topology()) as u64);
+            if epoch.windows.is_machine() {
+                reg.counter(
+                    "ocp_epoch_window_escalations_total",
+                    "Epochs whose relabeling went machine-wide instead of staying \
+                     in dirty windows.",
+                    &[],
+                )
+                .inc();
             }
-            for &f in &batch.faults {
-                map = map.with_additional_fault(f);
-            }
-            Self::cold(epoch, map, config)
         }
+        Ok(Self::from_outcome_after(
+            self,
+            self.epoch + 1,
+            map,
+            epoch.outcome,
+        ))
     }
 
     /// The service-level label of one coordinate under this snapshot.
@@ -221,7 +243,7 @@ mod tests {
     }
 
     #[test]
-    fn repair_batch_takes_the_cold_path() {
+    fn repair_batch_matches_the_cold_oracle() {
         // A concave fault pattern: (3,4) is nonfaulty but disabled to make
         // the surrounding region orthogonal convex.
         let cfg = PipelineConfig::default();
@@ -242,6 +264,10 @@ mod tests {
         assert_eq!(next.node_state(c(3, 4)), NodeState::Enabled);
         assert_eq!(next.node_state(c(4, 4)), NodeState::Enabled);
         assert_eq!(next.node_state(c(6, 6)), NodeState::Faulty);
+        let oracle = Snapshot::cold(1, next.map.clone(), &cfg).unwrap();
+        assert_eq!(next.outcome.activation, oracle.outcome.activation);
+        assert_eq!(next.router.table_digest(), oracle.router.table_digest());
+        assert!(next.build.incremental, "repairs patch the previous tables");
     }
 
     #[test]

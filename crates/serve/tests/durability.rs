@@ -68,7 +68,7 @@ fn run_oracle(path: &PathBuf, batches: usize) -> (u64, u64, Vec<LogRow>) {
     let mut injected = 0;
     while injected < batches {
         // Mostly faults, occasionally a repair of an earlier fault, so the
-        // replay exercises both the warm and the cold (repair) apply path.
+        // replay exercises both fault and repair batches.
         if injected % 4 == 3 && live_faults.len() > 1 {
             let node = live_faults.remove(rng.gen_range(0..live_faults.len()));
             assert_eq!(handle.repair_nodes(&[node]).accepted, 1);

@@ -352,28 +352,28 @@ fn responses() -> Vec<(String, Response)> {
                 epoch_at_enqueue: 7,
             }),
         ),
-        ("stats".into(), Response::Stats(stats(1.0, 0.0))),
+        ("stats".into(), Response::Stats(Box::new(stats(1.0, 0.0)))),
         (
             "metrics-text".into(),
             Response::MetricsText {
                 text: "# TYPE ocp_serve_epoch gauge\nocp_serve_epoch 3\n".into(),
             },
         ),
-        ("obs".into(), Response::Obs(obs_report())),
+        ("obs".into(), Response::Obs(Box::new(obs_report()))),
         ("epoch".into(), Response::Epoch { epoch: 12 }),
         (
             "certificate/none".into(),
-            Response::Certificate(CertificateReply {
+            Response::Certificate(Box::new(CertificateReply {
                 epoch: 9,
                 certificate: None,
-            }),
+            })),
         ),
         (
             "certificate/some".into(),
-            Response::Certificate(CertificateReply {
+            Response::Certificate(Box::new(CertificateReply {
                 epoch: 4,
                 certificate: Some(certificate()),
-            }),
+            })),
         ),
         (
             "error".into(),
@@ -446,7 +446,7 @@ fn all_cases() -> Vec<Case> {
     }
     cases.encode_only(
         "response/stats/non-finite",
-        &Response::Stats(stats(f64::NAN, f64::INFINITY)),
+        &Response::Stats(Box::new(stats(f64::NAN, f64::INFINITY))),
     );
     cases.encode_only("f64/neg-infinity", &f64::NEG_INFINITY);
     cases.compact(

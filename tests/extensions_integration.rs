@@ -48,7 +48,8 @@ fn fault_then_repair_roundtrips_to_original_labels() {
     assert_eq!(broken_map.fault_count(), 3);
     assert!(broken.outcome.blocks.len() > original.blocks.len());
 
-    let (repaired_map, repaired) = relabel_after_repair(&broken_map, c(9, 9), &cfg);
+    let (repaired_map, repaired) =
+        relabel_after_repair(&broken_map, c(9, 9), &broken.outcome, &cfg);
     assert_eq!(repaired_map, map);
     assert_eq!(repaired.safety, original.safety);
     assert_eq!(repaired.activation, original.activation);
